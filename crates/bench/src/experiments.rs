@@ -15,7 +15,7 @@ use dkc_core::compact::{run_compact_elimination, CompactOutcome, RunConfig};
 use dkc_core::densest::weak_densest_subsets_with_rounds;
 use dkc_core::orientation::orientation_from_compact;
 use dkc_core::ratio::ApproxRatio;
-use dkc_core::surviving::surviving_numbers;
+use dkc_core::surviving::{surviving_numbers, surviving_numbers_per_round};
 use dkc_core::threshold::ThresholdSet;
 use dkc_distsim::{ExecutionMode, FaultPlan};
 use dkc_flow::{dense_decomposition, densest_subgraph, exact_unit_orientation};
@@ -261,7 +261,7 @@ pub fn exp_rounds_to_target(scale: WorkloadScale, epsilon: f64) -> ExperimentOut
         let exact_core = weighted_coreness(g);
         let diameter = diameter_double_sweep(&CsrGraph::from(g), NodeId(0));
         let budget = t_theory.max(24);
-        let per_round = dkc_core::surviving::surviving_numbers_per_round(g, budget);
+        let per_round = surviving_numbers_per_round(g, budget);
         let first_round_below = |target: f64| -> String {
             per_round
                 .iter()
@@ -421,17 +421,23 @@ pub fn exp_lower_bound(gammas: &[usize], depth: usize) -> ExperimentOutput {
         let (tree, root, _) = tree_with_leaf_clique(gamma, depth, false);
         let (clique, _, _) = tree_with_leaf_clique(gamma, depth, true);
         let n = clique.num_nodes();
-        for rounds in [
+        let budgets = [
             1,
             depth / 2,
             depth.saturating_sub(1),
             depth,
             depth + 2,
             3 * depth,
-        ] {
-            let rounds = rounds.max(1);
-            let bt = surviving_numbers(&tree, rounds)[root.index()];
-            let bc = surviving_numbers(&clique, rounds)[root.index()];
+        ]
+        .map(|rounds: usize| rounds.max(1));
+        // β^T does not depend on how many rounds follow T, so one history
+        // per graph serves every budget.
+        let horizon = budgets.iter().copied().max().unwrap_or(1);
+        let tree_history = surviving_numbers_per_round(&tree, horizon);
+        let clique_history = surviving_numbers_per_round(&clique, horizon);
+        for rounds in budgets {
+            let bt = tree_history[rounds - 1][root.index()];
+            let bc = clique_history[rounds - 1][root.index()];
             out.table.row(vec![
                 gamma.to_string(),
                 n.to_string(),

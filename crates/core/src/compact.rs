@@ -98,13 +98,16 @@ impl CompactArena {
         let arcs = *offsets.last().expect("non-empty");
         let mut order = vec![0u32; arcs];
         let mut inv = vec![0u32; arcs];
+        // The initial ordering is by neighbour id, ties by position: the CSR
+        // neighbour-rank map, copied rather than re-sorted.
         for (i, &v) in nodes.iter().enumerate() {
             let (lo, hi) = (offsets[i], offsets[i + 1]);
+            order[lo..hi].copy_from_slice(graph.rank_by_target(v));
             UpdateOrder {
                 order: &mut order[lo..hi],
                 inv: &mut inv[lo..hi],
             }
-            .init_by_id(graph.neighbors(v));
+            .rebuild_inverse();
         }
         CompactArena {
             threshold_set,
@@ -575,6 +578,34 @@ mod tests {
     use dkc_graph::WeightedGraph;
     use rand::rngs::StdRng;
     use rand::SeedableRng;
+
+    #[test]
+    fn arena_order_is_the_csr_rank_map_and_init_by_id() {
+        // A multigraph: parallel edges in both insertion orders, a hub and
+        // an isolated node.
+        let mut g = WeightedGraph::new(6);
+        for (u, v) in [(3, 0), (0, 4), (2, 1)] {
+            g.add_unit_edge(NodeId(u), NodeId(v));
+            g.add_unit_edge(NodeId(v), NodeId(u));
+        }
+        g.add_unit_edge(NodeId(1), NodeId(0));
+        g.add_unit_edge(NodeId(0), NodeId(2));
+        let csr = CsrGraph::from_graph(&g);
+        let arena = CompactArena::new(&csr, ThresholdSet::Reals);
+        for v in csr.nodes() {
+            let (lo, hi) = (arena.offsets[v.index()], arena.offsets[v.index() + 1]);
+            let mut order = vec![0u32; hi - lo];
+            let mut inv = vec![0u32; hi - lo];
+            UpdateOrder {
+                order: &mut order,
+                inv: &mut inv,
+            }
+            .init_by_id(csr.neighbors(v));
+            assert_eq!(&arena.order[lo..hi], csr.rank_by_target(v), "node {v}");
+            assert_eq!(arena.order[lo..hi], order, "node {v}");
+            assert_eq!(arena.inv[lo..hi], inv, "node {v}");
+        }
+    }
 
     fn run(
         g: &WeightedGraph,

@@ -109,7 +109,10 @@ impl UpdateOrder<'_> {
             .all(|w| values[w[0] as usize] <= values[w[1] as usize]));
     }
 
-    fn rebuild_inverse(&mut self) {
+    /// Recomputes `inv` from `order` — after `order` was seeded externally,
+    /// e.g. copied from the CSR neighbour-rank map, which is exactly the
+    /// [`UpdateOrder::init_by_id`] ordering.
+    pub(crate) fn rebuild_inverse(&mut self) {
         for (i, &p) in self.order.iter().enumerate() {
             self.inv[p as usize] = i as u32;
         }

@@ -4,6 +4,15 @@
 //! millions of times per run; CSR gives contiguous, cache-friendly neighbour
 //! slices (see the heap-allocation and iteration guidance in the Rust
 //! Performance Book).
+//!
+//! Construction is O(m) apart from the per-node rank-map sort
+//! (O(Σ d log d), keyed on `(target, position)` pairs). Reverse arcs are
+//! paired by one merge over the rank maps instead of a lookup per arc:
+//! sources are visited in ascending id order, each source's arcs in rank
+//! order, and every node keeps one cursor into its own rank map. The cursor
+//! invariant is that when source `v` reaches its k-th arc to `t > v`, every
+//! `t → u` arc with `u < v` has already been consumed, so `t`'s cursor
+//! points at the k-th `t → v` arc.
 
 use crate::idx::{Idx, IdxOverflow};
 use crate::node::NodeId;
@@ -32,11 +41,13 @@ pub struct CsrGraph<I: Idx = u32> {
     /// `v`'s local positions ordered so the targets are ascending (ties by
     /// position), enabling O(log deg) membership / position lookup of a
     /// neighbour id ([`CsrGraph::neighbor_positions`]). The simulator's
-    /// multicast scatter is indexed through this map.
+    /// multicast scatter is indexed through this map, and construction pairs
+    /// reverse arcs by merging these slices.
     rank_by_target: Vec<I>,
     /// Cross index: `reverse_arc[p]` is the global position of the arc
     /// `v → u` matching arc `p = (u → v)`. Parallel edges pair the k-th
-    /// occurrence on each side, so the map is an involution.
+    /// occurrence on each side, so the map is an involution. Built by the
+    /// cursor merge of the module docs, in O(m).
     reverse_arc: Vec<I>,
 }
 
@@ -47,31 +58,22 @@ impl<I: Idx> CsrGraph<I> {
         let n = g.num_nodes();
         let mut offsets = Vec::with_capacity(n + 1);
         offsets.push(0usize);
-        let mut targets = Vec::new();
-        let mut weights = Vec::new();
+        let arcs = 2 * g.num_plain_edges();
+        let mut targets = Vec::with_capacity(arcs);
+        let mut weights = Vec::with_capacity(arcs);
         for v in g.nodes() {
-            for &(u, w) in g.neighbors(v) {
-                targets.push(u);
-                weights.push(w);
-            }
+            let nbrs = g.neighbors(v);
+            targets.extend(nbrs.iter().map(|&(u, _)| u));
+            weights.extend(nbrs.iter().map(|&(_, w)| w));
             offsets.push(targets.len());
         }
         let self_loops = (0..n).map(|i| g.self_loop(NodeId::new(i))).collect();
         if targets.len() > I::MAX_USIZE {
             return Err(IdxOverflow::new::<I>(targets.len(), "arc count"));
         }
-        let mut rank_by_target = vec![I::default(); targets.len()];
-        for v in 0..n {
-            let (lo, hi) = (offsets[v], offsets[v + 1]);
-            let perm = &mut rank_by_target[lo..hi];
-            for (i, r) in perm.iter_mut().enumerate() {
-                *r = I::from_usize(i);
-            }
-            // Ties (parallel edges) stay in position order so
-            // `neighbor_positions` yields ascending positions.
-            perm.sort_unstable_by_key(|&i| (targets[lo + i.to_usize()], i));
-        }
-        let mut graph = CsrGraph {
+        let rank_by_target = build_rank_map::<I>(&offsets, &targets);
+        let reverse_arc = pair_reverse_arcs(&offsets, &targets, &rank_by_target);
+        Ok(CsrGraph {
             offsets,
             targets,
             weights,
@@ -79,30 +81,8 @@ impl<I: Idx> CsrGraph<I> {
             total_edge_weight: g.total_edge_weight(),
             num_plain_edges: g.num_plain_edges(),
             rank_by_target,
-            reverse_arc: Vec::new(),
-        };
-        let mut reverse_arc = vec![I::default(); graph.targets.len()];
-        for v in 0..n {
-            let vid = NodeId::new(v);
-            let base = graph.offsets[v];
-            for q in 0..graph.offsets[v + 1] - base {
-                let t = graph.targets[base + q];
-                // k = occurrence index of this arc among v's (possibly
-                // parallel) arcs to t; the k-th `v → t` pairs with the k-th
-                // `t → v`.
-                let k = graph
-                    .neighbor_positions(vid, t)
-                    .position(|pos| pos == q)
-                    .expect("arc position must appear in its own rank map");
-                let rq = graph
-                    .neighbor_positions(t, vid)
-                    .nth(k)
-                    .expect("undirected arcs come in matched pairs");
-                reverse_arc[base + q] = I::from_usize(graph.offsets[t.index()] + rq);
-            }
-        }
-        graph.reverse_arc = reverse_arc;
-        Ok(graph)
+            reverse_arc,
+        })
     }
 
     /// Number of nodes.
@@ -187,6 +167,14 @@ impl<I: Idx> CsrGraph<I> {
         self.offsets[v.index()]
     }
 
+    /// `v`'s slice of the neighbour-rank map: its local positions (indices
+    /// into [`CsrGraph::neighbors`]) ordered by ascending target id, parallel
+    /// edges in position order.
+    #[inline]
+    pub fn rank_by_target(&self, v: NodeId) -> &[I] {
+        &self.rank_by_target[self.offsets[v.index()]..self.offsets[v.index() + 1]]
+    }
+
     /// The local positions (indices into [`CsrGraph::neighbors`] of `v`) at
     /// which `u` appears, ascending — one entry per parallel edge, empty when
     /// `u` is not a neighbour of `v`. Backed by the precomputed neighbour-rank
@@ -194,7 +182,7 @@ impl<I: Idx> CsrGraph<I> {
     /// of a linear scan of the neighbour slice.
     pub fn neighbor_positions(&self, v: NodeId, u: NodeId) -> impl Iterator<Item = usize> + '_ {
         let base = self.offsets[v.index()];
-        let perm = &self.rank_by_target[base..self.offsets[v.index() + 1]];
+        let perm = self.rank_by_target(v);
         let lo = perm.partition_point(|&i| self.targets[base + i.to_usize()] < u);
         let hi = lo + perm[lo..].partition_point(|&i| self.targets[base + i.to_usize()] == u);
         perm[lo..hi].iter().map(|&i| i.to_usize())
@@ -239,6 +227,55 @@ impl From<&WeightedGraph> for CsrGraph {
     fn from(g: &WeightedGraph) -> Self {
         CsrGraph::from_graph(g)
     }
+}
+
+/// The neighbour-rank map: each node's local positions sorted by
+/// `(target, position)`. Sorting the pairs themselves keeps every comparison
+/// inside one scratch buffer instead of loading `targets` through the
+/// permutation; positions are distinct, so the unstable sort is exact.
+fn build_rank_map<I: Idx>(offsets: &[usize], targets: &[NodeId]) -> Vec<I> {
+    let mut rank = Vec::with_capacity(targets.len());
+    let mut keyed: Vec<(NodeId, I)> = Vec::new();
+    for w in offsets.windows(2) {
+        keyed.clear();
+        keyed.extend(
+            targets[w[0]..w[1]]
+                .iter()
+                .enumerate()
+                .map(|(q, &t)| (t, I::from_usize(q))),
+        );
+        keyed.sort_unstable();
+        rank.extend(keyed.iter().map(|&(_, q)| q));
+    }
+    rank
+}
+
+const UNMATCHED: &str = "undirected arcs come in matched pairs";
+
+/// Pairs every arc with its reverse in one merge over the rank maps (see the
+/// module docs). `cursor[t]` is the index of `t`'s next unpaired rank entry.
+/// Source `v` starts at its own cursor, past the arcs to smaller ids that
+/// their visits already paired, and pairs each remaining arc `v → t` with
+/// the entry under `t`'s cursor, which must point back at `v`.
+fn pair_reverse_arcs<I: Idx>(offsets: &[usize], targets: &[NodeId], rank: &[I]) -> Vec<I> {
+    let mut reverse = vec![I::default(); targets.len()];
+    let mut cursor = offsets[..offsets.len() - 1].to_vec();
+    for v in 0..cursor.len() {
+        let vid = NodeId::new(v);
+        let base = offsets[v];
+        for r in cursor[v]..offsets[v + 1] {
+            let p = base + rank[r].to_usize();
+            let t = targets[p].index();
+            let c = cursor[t];
+            assert!(t > v && c < offsets[t + 1], "{UNMATCHED}");
+            let rp = offsets[t] + rank[c].to_usize();
+            assert_eq!(targets[rp], vid, "{UNMATCHED}");
+            cursor[t] = c + 1;
+            reverse[p] = I::from_usize(rp);
+            reverse[rp] = I::from_usize(p);
+        }
+    }
+    reverse
 }
 
 #[cfg(test)]
