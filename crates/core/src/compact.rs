@@ -128,9 +128,9 @@ impl CompactArena {
     }
 
     /// Carves the arena into one [`CompactNode`] program per node — disjoint
-    /// mutable slices of the slabs, suitable for [`Network::from_parts`]. The
+    /// mutable slices of the slabs, suitable for [`NetworkBuilder::build_from_parts`]. The
     /// arena is mutably borrowed for as long as the programs live; drop them
-    /// (e.g. via [`Network::into_parts`]) before reading results.
+    /// (e.g. via [`dkc_distsim::Network::into_parts`]) before reading results.
     pub fn programs(&mut self) -> Vec<CompactNode<'_>> {
         let n = self.b.len();
         let mut out = Vec::with_capacity(n);
@@ -232,7 +232,7 @@ impl ShardedCompactArena {
     /// Carves every shard's arena and interleaves the programs back into
     /// global node order (each shard's programs are in ascending owned-node
     /// order, so a per-shard cursor walk reconstructs it exactly) — the shape
-    /// [`dkc_distsim::Network::from_parts`] requires.
+    /// [`dkc_distsim::NetworkBuilder::build_from_parts`] requires.
     pub fn programs(&mut self) -> Vec<CompactNode<'_>> {
         let owner = &self.owner;
         let mut per_shard: Vec<_> = self

@@ -484,17 +484,36 @@ impl ByzantineModel {
     /// executor's resend path is byte-identical to the dense executor's
     /// re-broadcast, so the modes cannot diverge.
     pub fn tamper_salt(&self, round: usize, from: NodeId, to: NodeId) -> Option<u64> {
+        self.copy_transform(round, from, to).0
+    }
+
+    /// The [`tamper_salt`](Self::tamper_salt) and the
+    /// [`spam_factor`](Self::spam_factor) of the copy `from → to` in `round`,
+    /// from one behavior lookup (the executors need both per copy).
+    pub(crate) fn copy_transform(
+        &self,
+        round: usize,
+        from: NodeId,
+        to: NodeId,
+    ) -> (Option<u64>, usize) {
         if !self.active(round) {
-            return None;
+            return (None, 1);
         }
-        match self.behavior_of(from)? {
-            Behavior::Lie => Some(splitmix(self.node_pick(from) ^ 0x452A_F09B_5AAC_5D9E)),
-            Behavior::Equivocate => Some(splitmix(
-                self.node_pick(from)
-                    ^ u64::from(to.0).wrapping_mul(0xD6E8_FEB8_6659_FD93)
-                    ^ 0x6A09_E667_F3BC_C909,
-            )),
-            Behavior::Mute | Behavior::Spam => None,
+        match self.behavior_of(from) {
+            Some(Behavior::Lie) => (
+                Some(splitmix(self.node_pick(from) ^ 0x452A_F09B_5AAC_5D9E)),
+                1,
+            ),
+            Some(Behavior::Equivocate) => (
+                Some(splitmix(
+                    self.node_pick(from)
+                        ^ u64::from(to.0).wrapping_mul(0xD6E8_FEB8_6659_FD93)
+                        ^ 0x6A09_E667_F3BC_C909,
+                )),
+                1,
+            ),
+            Some(Behavior::Spam) => (None, Self::SPAM_FACTOR),
+            Some(Behavior::Mute) | None => (None, 1),
         }
     }
 
@@ -516,11 +535,8 @@ impl ByzantineModel {
     /// How many times `from` sends each outgoing frame in `round` (1 =
     /// honest; [`ByzantineModel::SPAM_FACTOR`] for an active spammer).
     pub fn spam_factor(&self, round: usize, from: NodeId) -> usize {
-        if self.active(round) && self.behavior_of(from) == Some(Behavior::Spam) {
-            Self::SPAM_FACTOR
-        } else {
-            1
-        }
+        // The spam count does not depend on the receiver.
+        self.copy_transform(round, from, from).1
     }
 
     /// Whether `node` triggers an accusation event in `round`. Events fire

@@ -14,9 +14,11 @@
 //!
 //! * [`program::NodeProgram`] — the per-node state machine interface
 //!   (broadcast phase + receive phase per round).
-//! * [`network::Network`] — the synchronous executor; runs rounds either
-//!   sequentially or data-parallel across nodes (rayon) — rounds are barriers,
-//!   so both modes produce identical results.
+//! * [`network::Network`] — the synchronous executor, built by
+//!   [`NetworkBuilder`]; its five [`ExecutionMode`]s (dense or sparse
+//!   activation, each sequential or data-parallel, plus the message-passing
+//!   mailbox backend) share one definition of a delivered copy and one
+//!   per-round tally, and produce identical protocol results.
 //! * [`metrics`] — per-round and cumulative message/bit accounting.
 //! * [`congest`] — CONGEST-model message-size budgets and checks.
 //! * [`message::MessageSize`] — payload size accounting used by the metrics.

@@ -11,10 +11,15 @@
 //! ## Why results are byte-identical to lockstep
 //!
 //! * Send-side fault decisions and accounting reuse the exact
-//!   `produce_outgoing` the lockstep executors run, so `messages`,
-//!   `payload_bits`, `wire_bits` and the drop counters agree by construction
-//!   (the measured `wire_bits` uses the counting serializer, whose output
-//!   length equals the encoder's).
+//!   `produce_outgoing` the lockstep executors run, and each shard folds the
+//!   rows into the same `RoundTally` the lockstep executors convert into
+//!   [`RoundStats`], so `messages`, `payload_bits`, `wire_bits` and the drop
+//!   counters agree by construction (the measured `wire_bits` uses the
+//!   counting serializer, whose output length equals the encoder's).
+//! * The per-copy decisions (link drops, multicast dedup, parallel-arc
+//!   fan-out, receiver-local position, tamper salt and spam count) come from
+//!   the same `scatter` kernel the sparse executor runs; the shard's sink
+//!   only encodes and sends the frame.
 //! * Each delivered copy travels on exactly one CSR arc, and each arc's
 //!   frames are produced by exactly one sender thread, so per-arc FIFO order
 //!   is preserved end-to-end; the receiver then **stable-sorts** its inbox by
@@ -42,9 +47,8 @@
 //! accounting exists for the protocol boundary.
 
 use crate::message::Tamper;
-use crate::metrics::RoundStats;
-use crate::network::{produce_outgoing, Network, NodeCell};
-use crate::program::{Delivery, NodeProgram, Outgoing};
+use crate::network::{produce_outgoing, scatter, Network, NodeCell, RoundTally};
+use crate::program::{Delivery, NodeProgram};
 use crate::wire::{decode_frame, encode_frame};
 use dkc_graph::{CsrGraph, NodeId};
 use std::sync::mpsc::{channel, sync_channel, Receiver, Sender, SyncSender, TrySendError};
@@ -66,26 +70,10 @@ enum Packet {
     EndOfRound,
 }
 
-/// Per-shard, per-round statistics merged by the coordinator.
-#[derive(Clone, Copy, Default)]
-struct PartialStats {
-    messages: usize,
-    payload_bits: usize,
-    wire_bits: usize,
-    max_message_bits: usize,
-    sending_nodes: usize,
-    changed_nodes: usize,
-    node_updates: usize,
-    dropped_loss: usize,
-    dropped_burst: usize,
-    dropped_partition: usize,
-    dropped_byzantine: usize,
-}
-
 /// Shard-to-coordinator messages.
 enum ToCoordinator {
-    /// End of one round on one shard.
-    Round(PartialStats),
+    /// End of one round on one shard, with the shard's counters.
+    Round(RoundTally),
     /// Shard shutdown: the node ids charged with decode failures (one entry
     /// per rejected frame).
     Done(Vec<u32>),
@@ -144,9 +132,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
         round,
         metrics,
         faults,
-        crash_schedule,
-        byz_accusation_schedule,
-        quarantine_schedule,
+        schedules,
         mailbox_capacity,
         max_frame_bytes,
         decode_faults,
@@ -161,10 +147,7 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
         for _ in 0..max_rounds {
             *round += 1;
             executed += 1;
-            metrics.push(RoundStats {
-                round: *round,
-                ..RoundStats::default()
-            });
+            metrics.push(RoundTally::default().into_stats(*round, schedules, (0, 0)));
             if stop_on_quiescent {
                 break;
             }
@@ -227,53 +210,19 @@ pub(crate) fn run_mailbox<P: NodeProgram>(
         drop(mailbox_txs);
         drop(coord_tx);
 
-        // Coordinator: merge shard partials per round, publish RoundStats,
+        // Coordinator: merge the shard tallies per round, publish RoundStats,
         // and release (or stop) the next round.
         for k in 1..=max_rounds {
-            let r = start_round + k;
-            let mut merged = PartialStats::default();
-            let mut seen = 0usize;
-            while seen < num_shards {
+            let mut merged = RoundTally::default();
+            for _ in 0..num_shards {
                 match coord_rx.recv().expect("shard exited before round end") {
-                    ToCoordinator::Round(p) => {
-                        merged.messages += p.messages;
-                        merged.payload_bits += p.payload_bits;
-                        merged.wire_bits += p.wire_bits;
-                        merged.max_message_bits = merged.max_message_bits.max(p.max_message_bits);
-                        merged.sending_nodes += p.sending_nodes;
-                        merged.changed_nodes += p.changed_nodes;
-                        merged.node_updates += p.node_updates;
-                        merged.dropped_loss += p.dropped_loss;
-                        merged.dropped_burst += p.dropped_burst;
-                        merged.dropped_partition += p.dropped_partition;
-                        merged.dropped_byzantine += p.dropped_byzantine;
-                        seen += 1;
-                    }
+                    ToCoordinator::Round(tally) => merged.merge(&tally),
                     ToCoordinator::Done(_) => {
                         unreachable!("shard shut down before the final round")
                     }
                 }
             }
-            let stats = RoundStats {
-                round: r,
-                messages: merged.messages,
-                payload_bits: merged.payload_bits,
-                wire_bits: merged.wire_bits,
-                max_message_bits: merged.max_message_bits,
-                sending_nodes: merged.sending_nodes,
-                changed_nodes: merged.changed_nodes,
-                node_updates: merged.node_updates,
-                dropped_loss: merged.dropped_loss,
-                dropped_burst: merged.dropped_burst,
-                dropped_partition: merged.dropped_partition,
-                dropped_byzantine: merged.dropped_byzantine,
-                crashed_nodes: crash_schedule.partition_point(|&cr| (cr as usize) <= r),
-                byzantine_accusations: byz_accusation_schedule
-                    .partition_point(|&ar| (ar as usize) <= r),
-                quarantined_nodes: quarantine_schedule.partition_point(|&qr| (qr as usize) <= r),
-                boundary_bits: 0,
-                boundary_nodes: 0,
-            };
+            let stats = merged.into_stats(start_round + k, schedules, (0, 0));
             metrics.push(stats);
             executed = k;
             let stop = k == max_rounds || (stop_on_quiescent && stats.changed_nodes == 0);
@@ -343,10 +292,6 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
         peers,
         coord,
     } = args;
-    let link_faults = faults.filter(crate::faults::FaultPlan::affects_links);
-    let byz = faults
-        .and_then(|f| f.byzantine)
-        .filter(|b| b.fraction > 0.0);
     let mut faulters: Vec<u32> = Vec::new();
     // Lazily allocated per-shard multicast dedup stamps (arc-indexed; this
     // shard only ever stamps its own senders' disjoint arc ranges).
@@ -355,8 +300,7 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
 
     for k in 1..=max_rounds {
         let r = start_round + k;
-        let round_stamp = r as u64;
-        let mut partial = PartialStats::default();
+        let mut tally = RoundTally::default();
 
         // Send phase: every local node broadcasts; frames go out per arc.
         for li in 0..cells.len() {
@@ -365,106 +309,47 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
             // receive time; all receive-side effects here happen after the
             // send loop, so clearing up front is equivalent).
             cells[li].inbox.clear();
-            let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, true, &mut cells[li]);
-            if acct.messages > 0 {
-                partial.sending_nodes += 1;
-                partial.messages += acct.messages;
-                partial.payload_bits += acct.payload_bits;
-                partial.wire_bits += acct.wire_bits;
-                partial.max_message_bits = partial.max_message_bits.max(acct.max_message_bits);
-            }
-            partial.dropped_loss += acct.dropped_loss;
-            partial.dropped_burst += acct.dropped_burst;
-            partial.dropped_partition += acct.dropped_partition;
-            partial.dropped_byzantine += acct.dropped_byzantine;
-
-            let sender = NodeId::new(i);
-            let arc_base = graph.arc_offset(sender);
-            let dropped = |to: NodeId, idx: usize| -> bool {
-                link_faults.is_some_and(|f| f.drops(r, sender, to, idx))
-            };
-            // A byzantine lie/equivocate sender encodes a **per-arc tampered
-            // frame** in place of the shared broadcast frame (equivocation
-            // sends different bytes to different receivers); tampering is
-            // length-preserving, so the wire accounting from
-            // `produce_outgoing` still matches the encoder exactly. An active
-            // spammer emits each frame `spam` times on the same arc.
-            let spam = byz.as_ref().map_or(1, |b| b.spam_factor(r, sender));
-            let tampered = |m: &P::Message, v: NodeId| -> Option<Arc<[u8]>> {
-                let salt = byz.as_ref()?.tamper_salt(r, sender, v)?;
-                let frame: Arc<[u8]> = encode_frame(&m.tamper(salt)).into();
-                debug_assert_eq!(
-                    frame.len(),
-                    encode_frame(m).len(),
-                    "tamper must be length-preserving (see message::Tamper)"
-                );
-                Some(frame)
-            };
-            // Emit the frame copies on the sender-local arc `q` (the
-            // receiver-local position comes from the paired reverse arc, as
-            // in the sparse scatter). Copies to crashed/halted receivers are
+            let (out, acct) = produce_outgoing::<P>(graph, faults, r, i, &mut cells[li]);
+            tally.add_send(&acct);
+            // The truthful frame of the message last sent, shared between
+            // its copies. A byzantine lie/equivocate copy is encoded as its
+            // own **per-arc tampered frame** (equivocation sends different
+            // bytes to different receivers); tampering is length-preserving,
+            // so the wire accounting from `produce_outgoing` still matches
+            // the encoder exactly. Copies to crashed/halted receivers are
             // still sent — the sender cannot know — and discarded by the
             // receiving shard.
-            let emit = |pending: &mut Vec<Packet>, q: usize, m: &P::Message, bytes: &Arc<[u8]>| {
-                let v = graph.neighbors(sender)[q];
-                let pos = (graph.reverse_arc(arc_base + q) - graph.arc_offset(v)) as u32;
-                let bytes = tampered(m, v).unwrap_or_else(|| Arc::clone(bytes));
-                for _ in 0..spam {
+            let mut truthful: Option<(&P::Message, Arc<[u8]>)> = None;
+            let sender = NodeId::new(i);
+            scatter(graph, faults.as_ref(), r, sender, &out, &mut stamps, |c| {
+                let bytes: Arc<[u8]> = match (c.salt, &truthful) {
+                    (Some(salt), _) => {
+                        let frame = encode_frame(&c.msg.tamper(salt));
+                        debug_assert_eq!(
+                            frame.len(),
+                            encode_frame(c.msg).len(),
+                            "tamper must be length-preserving (see message::Tamper)"
+                        );
+                        frame.into()
+                    }
+                    (None, Some((m, frame))) if std::ptr::eq(*m, c.msg) => Arc::clone(frame),
+                    (None, _) => {
+                        let frame: Arc<[u8]> = encode_frame(c.msg).into();
+                        truthful = Some((c.msg, Arc::clone(&frame)));
+                        frame
+                    }
+                };
+                for _ in 0..c.spam {
                     let pkt = Packet::Frame {
-                        sender: i as u32,
-                        receiver: v.0,
-                        pos,
+                        sender: sender.0,
+                        receiver: c.receiver.0,
+                        pos: c.pos,
                         bytes: Arc::clone(&bytes),
                     };
-                    send_with_backpressure(&peers[v.index() / chunk], &my_rx, pending, pkt);
+                    let peer = &peers[c.receiver.index() / chunk];
+                    send_with_backpressure(peer, &my_rx, &mut pending, pkt);
                 }
-            };
-            match &out {
-                Outgoing::Silent => {}
-                Outgoing::Broadcast(m) => {
-                    let bytes: Arc<[u8]> = encode_frame(m).into();
-                    for (q, &v) in graph.neighbors(sender).iter().enumerate() {
-                        if !dropped(v, 0) {
-                            emit(&mut pending, q, m, &bytes);
-                        }
-                    }
-                }
-                Outgoing::Multicast(m, targets) => {
-                    if !targets.is_empty() {
-                        if stamps.len() != graph.num_arcs() {
-                            stamps = vec![0; graph.num_arcs()];
-                        }
-                        let bytes: Arc<[u8]> = encode_frame(m).into();
-                        for &t in targets {
-                            if dropped(t, 0) {
-                                continue;
-                            }
-                            for q in graph.neighbor_positions(sender, t) {
-                                // Deduplicate repeated target entries by arc,
-                                // exactly like the dense stamp scatter.
-                                if stamps[arc_base + q] == round_stamp {
-                                    continue;
-                                }
-                                stamps[arc_base + q] = round_stamp;
-                                emit(&mut pending, q, m, &bytes);
-                            }
-                        }
-                    }
-                }
-                Outgoing::Unicast(msgs) => {
-                    for (idx, (t, m)) in msgs.iter().enumerate() {
-                        if dropped(*t, idx) {
-                            continue;
-                        }
-                        let bytes: Arc<[u8]> = encode_frame(m).into();
-                        // Dense delivery hands a unicast to every parallel
-                        // arc towards the target; mirror that.
-                        for q in graph.neighbor_positions(sender, *t) {
-                            emit(&mut pending, q, m, &bytes);
-                        }
-                    }
-                }
-            }
+            });
         }
         for tx in &peers {
             send_with_backpressure(tx, &my_rx, &mut pending, Packet::EndOfRound);
@@ -487,10 +372,9 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
                     bytes,
                 } => {
                     let cell = &mut cells[receiver as usize - base];
-                    let v = NodeId::new(receiver as usize);
                     // Dense semantics: a halted or crashed receiver's copies
                     // count as delivered but are never seen by the program.
-                    if cell.program.halted() || faults.is_some_and(|f| f.crashed(r, v)) {
+                    if cell.is_down(faults, r, NodeId(receiver)) {
                         return;
                     }
                     match decode_frame::<P::Message>(&bytes, max_payload) {
@@ -518,20 +402,18 @@ fn shard_main<P: NodeProgram>(args: ShardArgs<'_, P>) {
         for li in 0..cells.len() {
             let v = NodeId::new(base + li);
             let cell = &mut cells[li];
-            if cell.program.halted() || faults.is_some_and(|f| f.crashed(r, v)) {
+            if cell.is_down(faults, r, v) {
                 continue;
             }
             cell.inbox.sort_by_key(|d| d.pos);
             let ctx = crate::program::NodeContext::new(graph, v, r);
             let NodeCell { program, inbox } = cell;
-            partial.node_updates += 1;
-            if program.receive(&ctx, inbox) {
-                partial.changed_nodes += 1;
-            }
+            tally.node_updates += 1;
+            tally.changed_nodes += usize::from(program.receive(&ctx, inbox));
         }
 
         coord
-            .send(ToCoordinator::Round(partial))
+            .send(ToCoordinator::Round(tally))
             .expect("coordinator exited mid-run");
         if !ctrl_rx.recv().expect("coordinator exited mid-run") {
             break;

@@ -17,6 +17,20 @@
 //! After a warm-up round the executor performs no outbox/inbox heap growth
 //! (see [`Network::buffer_stats`] and the `buffer_reuse` test).
 //!
+//! ## One definition of a delivered copy
+//!
+//! Every executor shares `produce_outgoing` (the send-side fault decisions
+//! and accounting row) and `RoundTally` (the one fold of those rows and the
+//! step counts into [`RoundStats`]). The per-copy semantics — the link-drop
+//! check with its unicast batch index, multicast dedup on the arc stamps,
+//! fan-out over parallel arcs, the receiver-local position via
+//! [`CsrGraph::reverse_arc`], and the byzantine `(tamper salt, spam count)`
+//! pair — live in the `scatter` kernel, which hands each surviving copy of
+//! one sender's [`Outgoing`] to a sink: the sparse executor's sink pushes
+//! into the receiver's inbox, the mailbox shards' sink encodes and sends the
+//! frame. The dense receive-side pull keeps its parallel per-receiver
+//! structure and shares the kernel's `(salt, spam)` and copy-pushing helpers.
+//!
 //! ## Dense vs sparse activation
 //!
 //! The paper's elimination procedures converge monotonically: after a few
@@ -60,7 +74,7 @@ use std::time::{Duration, Instant};
 /// activation kind produce **identical** results. The dense modes run every
 /// non-halted node every round; the sparse modes run only the active frontier
 /// and require [`NodeProgram::DELTA_DRIVEN`] (for delta-driven programs all
-/// four modes produce identical protocol results — the dense modes remain
+/// five modes produce identical protocol results — the dense modes remain
 /// available for A/B measurements).
 #[derive(Clone, Copy, Debug, PartialEq, Eq, Default)]
 pub enum ExecutionMode {
@@ -99,14 +113,6 @@ impl ExecutionMode {
         )
     }
 
-    /// Whether node steps run data-parallel.
-    pub fn is_parallel(self) -> bool {
-        matches!(
-            self,
-            ExecutionMode::Parallel | ExecutionMode::SparseParallel | ExecutionMode::Mailbox
-        )
-    }
-
     /// The dense counterpart of this mode (identity for dense modes). Used by
     /// protocol runners whose programs are not delta-driven to degrade
     /// gracefully when a caller asks for sparse execution.
@@ -129,6 +135,15 @@ pub(crate) struct NodeCell<P: NodeProgram> {
     pub(crate) inbox: Vec<Delivery<P::Message>>,
 }
 
+impl<P: NodeProgram> NodeCell<P> {
+    /// Whether node `v` sits out `round`: its program halted, or it crashed
+    /// under the plan. Such a node neither sends, nor receives, nor steps.
+    #[inline]
+    pub(crate) fn is_down(&self, faults: Option<FaultPlan>, round: usize, v: NodeId) -> bool {
+        self.program.halted() || faults.is_some_and(|f| f.crashed(round, v))
+    }
+}
+
 /// Per-sender accounting row produced by the broadcast phase (post-fault:
 /// only delivered copies are counted in the message/bit totals; dropped
 /// copies are tallied per fault component).
@@ -137,7 +152,7 @@ pub(crate) struct SendAccount {
     pub(crate) messages: usize,
     pub(crate) payload_bits: usize,
     /// Measured wire bits (length-prefixed encoded frames) of the delivered
-    /// copies; 0 when wire accounting is disabled.
+    /// copies.
     pub(crate) wire_bits: usize,
     pub(crate) max_message_bits: usize,
     /// Copies of this round's send dropped by the i.i.d. loss component.
@@ -174,6 +189,95 @@ impl SendAccount {
     pub(crate) fn any_dropped(&self) -> bool {
         self.dropped_loss + self.dropped_burst + self.dropped_partition + self.dropped_byzantine > 0
     }
+
+    /// Adds another row's counters to this one.
+    fn merge(&mut self, other: &SendAccount) {
+        self.messages += other.messages;
+        self.payload_bits += other.payload_bits;
+        self.wire_bits += other.wire_bits;
+        self.max_message_bits = self.max_message_bits.max(other.max_message_bits);
+        self.dropped_loss += other.dropped_loss;
+        self.dropped_burst += other.dropped_burst;
+        self.dropped_partition += other.dropped_partition;
+        self.dropped_byzantine += other.dropped_byzantine;
+    }
+}
+
+/// One round's executor counters: the folded accounting rows of its senders
+/// plus its step counts. Every executor fills one per round (each mailbox
+/// shard fills its own, merged by the coordinator) and converts it with
+/// [`RoundTally::into_stats`], the only place an executor builds a
+/// [`RoundStats`].
+#[derive(Clone, Copy, Default)]
+pub(crate) struct RoundTally {
+    sent: SendAccount,
+    sending_nodes: usize,
+    pub(crate) changed_nodes: usize,
+    pub(crate) node_updates: usize,
+}
+
+impl RoundTally {
+    /// Folds one sender's accounting row.
+    #[inline]
+    pub(crate) fn add_send(&mut self, acct: &SendAccount) {
+        self.sending_nodes += usize::from(acct.messages > 0);
+        self.sent.merge(acct);
+    }
+
+    /// Folds another tally (a mailbox shard's) into this one.
+    pub(crate) fn merge(&mut self, other: &RoundTally) {
+        self.sent.merge(&other.sent);
+        self.sending_nodes += other.sending_nodes;
+        self.changed_nodes += other.changed_nodes;
+        self.node_updates += other.node_updates;
+    }
+
+    /// The statistics of `round`: these counters, the plan's cumulative
+    /// schedule-driven counts, and the sharded run's
+    /// `(boundary_bits, boundary_nodes)`.
+    pub(crate) fn into_stats(
+        self,
+        round: usize,
+        schedules: &FaultSchedules,
+        (boundary_bits, boundary_nodes): (usize, usize),
+    ) -> RoundStats {
+        let through = |schedule: &[u32]| schedule.partition_point(|&r| (r as usize) <= round);
+        let sent = self.sent;
+        RoundStats {
+            round,
+            messages: sent.messages,
+            payload_bits: sent.payload_bits,
+            wire_bits: sent.wire_bits,
+            max_message_bits: sent.max_message_bits,
+            sending_nodes: self.sending_nodes,
+            changed_nodes: self.changed_nodes,
+            node_updates: self.node_updates,
+            dropped_loss: sent.dropped_loss,
+            dropped_burst: sent.dropped_burst,
+            dropped_partition: sent.dropped_partition,
+            dropped_byzantine: sent.dropped_byzantine,
+            crashed_nodes: through(&schedules.crash),
+            byzantine_accusations: through(&schedules.accusations),
+            quarantined_nodes: through(&schedules.quarantine),
+            boundary_bits,
+            boundary_nodes,
+        }
+    }
+}
+
+/// The installed plan's per-node event rounds, sorted, from which every round
+/// reports its cumulative schedule-driven counters in O(log n). They are pure
+/// hash schedules, so every mode reports the same counts. All empty without
+/// a plan.
+#[derive(Default)]
+pub(crate) struct FaultSchedules {
+    /// Crash rounds (see [`FaultPlan::crash_schedule`]).
+    crash: Vec<u32>,
+    /// Byzantine accusation rounds (see
+    /// [`FaultPlan::byz_accusation_schedule`]).
+    accusations: Vec<u32>,
+    /// Quarantine-entry rounds (see [`FaultPlan::quarantine_schedule`]).
+    quarantine: Vec<u32>,
 }
 
 /// Outcome of one node's receive phase.
@@ -312,20 +416,8 @@ pub struct Network<P: NodeProgram> {
     /// The installed fault plan; `None` ⇔ the plan is trivial, so the
     /// fault-free hot path runs with zero fault bookkeeping.
     pub(crate) faults: Option<FaultPlan>,
-    /// Sorted crash rounds of every node that ever crashes under the plan
-    /// (see [`FaultPlan::crash_schedule`]); empty without a crash component.
-    pub(crate) crash_schedule: Vec<u32>,
-    /// Sorted rounds of every byzantine accusation event under the plan
-    /// (see [`FaultPlan::byz_accusation_schedule`]); empty without a
-    /// byzantine component. Schedule-driven, so identical in every mode.
-    pub(crate) byz_accusation_schedule: Vec<u32>,
-    /// Sorted quarantine-entry rounds of every node the plan ever
-    /// quarantines (see [`FaultPlan::quarantine_schedule`]).
-    pub(crate) quarantine_schedule: Vec<u32>,
-    /// Whether executors charge measured `wire_bits` (see
-    /// [`NetworkBuilder::wire_accounting`]). The mailbox backend encodes
-    /// frames regardless; this only gates the counter.
-    pub(crate) wire_accounting: bool,
+    /// The installed plan's crash, accusation and quarantine schedules.
+    pub(crate) schedules: FaultSchedules,
     /// Shard-thread count for [`ExecutionMode::Mailbox`]; `None` uses
     /// [`rayon::current_num_threads`].
     pub(crate) mailbox_threads: Option<usize>,
@@ -346,7 +438,7 @@ pub struct Network<P: NodeProgram> {
     /// own (cache-resident) arc range; receivers translate through
     /// [`CsrGraph::reverse_arc`]. Stamping avoids an O(arcs) clear per round;
     /// round numbers start at 1 so the zero-initialized array never
-    /// false-positives. (The sparse scatter reuses the same array to
+    /// false-positives. (The `scatter` kernel reuses the same array to
     /// deduplicate repeated multicast target entries.)
     multicast_stamps: Vec<u64>,
     // Sparse-frontier state (unused under dense modes).
@@ -373,13 +465,8 @@ pub struct Network<P: NodeProgram> {
 
 /// Measures one message's on-the-wire frame size in bits, flagging (in debug
 /// builds) any message whose `MessageSize` estimate undercounts its encoding.
-/// Returns 0 when wire accounting is off so the counting serializer never
-/// runs on the hot path.
 #[inline]
-fn measured_frame_bits<M: MessageSize + crate::wire::WireCodec>(wire: bool, m: &M) -> usize {
-    if !wire {
-        return 0;
-    }
+fn measured_frame_bits<M: MessageSize + crate::wire::WireCodec>(m: &M) -> usize {
     crate::wire::debug_assert_estimate_covers(m);
     crate::wire::frame_bits(crate::wire::payload_len(m))
 }
@@ -388,20 +475,16 @@ fn measured_frame_bits<M: MessageSize + crate::wire::WireCodec>(wire: bool, m: &
 /// (shared by the dense map, the sparse frontier loop, and the mailbox
 /// shards). A crashed sender is treated exactly like a program-halted one:
 /// it produces nothing; a quarantined byzantine sender likewise sends
-/// nothing, but (unlike a crash) still receives and steps. `wire` enables
-/// measured wire-bit accounting.
+/// nothing, but (unlike a crash) still receives and steps.
 pub(crate) fn produce_outgoing<P: NodeProgram>(
     graph: &CsrGraph,
     faults: Option<FaultPlan>,
     round: usize,
     i: usize,
-    wire: bool,
     cell: &mut NodeCell<P>,
 ) -> (Outgoing<P::Message>, SendAccount) {
     let sender = NodeId::new(i);
-    if cell.program.halted()
-        || faults.is_some_and(|f| f.crashed(round, sender) || f.quarantined(round, sender))
-    {
+    if cell.is_down(faults, round, sender) || faults.is_some_and(|f| f.quarantined(round, sender)) {
         return (Outgoing::Silent, SendAccount::default());
     }
     let ctx = NodeContext::new(graph, sender, round);
@@ -420,34 +503,17 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
     let link_faults = faults.filter(FaultPlan::affects_links);
     match &out {
         Outgoing::Silent => {}
-        Outgoing::Broadcast(m) => {
-            let degree = graph.unweighted_degree(sender);
-            let copies = match link_faults {
-                None => degree * spam,
-                Some(f) => {
-                    let mut delivered = 0usize;
-                    for &t in graph.neighbors(sender) {
-                        match f.drop_cause(round, sender, t, 0) {
-                            None => delivered += spam,
-                            Some(cause) => acct.record_drops(cause, spam),
-                        }
-                    }
-                    delivered
+        Outgoing::Broadcast(m) | Outgoing::Multicast(m, _) => {
+            let targets = match &out {
+                Outgoing::Multicast(_, targets) => {
+                    debug_assert!(
+                        targets.iter().all(|&t| graph.has_neighbor(sender, t)),
+                        "multicast target is not a neighbour of {sender}"
+                    );
+                    targets.as_slice()
                 }
+                _ => graph.neighbors(sender),
             };
-            if copies > 0 {
-                let bits = m.size_bits();
-                acct.messages = copies;
-                acct.payload_bits = bits * copies;
-                acct.wire_bits = measured_frame_bits(wire, m) * copies;
-                acct.max_message_bits = bits;
-            }
-        }
-        Outgoing::Multicast(m, targets) => {
-            debug_assert!(
-                targets.iter().all(|&t| graph.has_neighbor(sender, t)),
-                "multicast target is not a neighbour of {sender}"
-            );
             let copies = match link_faults {
                 None => targets.len() * spam,
                 Some(f) => {
@@ -465,7 +531,7 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
                 let bits = m.size_bits();
                 acct.messages = copies;
                 acct.payload_bits = bits * copies;
-                acct.wire_bits = measured_frame_bits(wire, m) * copies;
+                acct.wire_bits = measured_frame_bits(m) * copies;
                 acct.max_message_bits = bits;
             }
         }
@@ -483,7 +549,7 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
                         let bits = m.size_bits();
                         acct.messages += spam;
                         acct.payload_bits += bits * spam;
-                        acct.wire_bits += measured_frame_bits(wire, m) * spam;
+                        acct.wire_bits += measured_frame_bits(m) * spam;
                         acct.max_message_bits = acct.max_message_bits.max(bits);
                     }
                     Some(cause) => acct.record_drops(cause, spam),
@@ -494,8 +560,130 @@ pub(crate) fn produce_outgoing<P: NodeProgram>(
     (out, acct)
 }
 
-/// Fluent construction of a [`Network`]: one entry point selecting the
-/// execution mode, fault plan, wire accounting, sharding, and mailbox
+/// The payload the receiver of a copy sees: the sender's message, tampered
+/// with `salt` if the sender lies on this arc.
+#[inline]
+fn tampered<M: Tamper>(msg: &M, salt: Option<u64>) -> M {
+    salt.map_or_else(|| msg.clone(), |s| msg.tamper(s))
+}
+
+/// Pushes `copies` identical deliveries of `msg` on one arc into `inbox`.
+#[inline]
+fn push_copies<M: Clone>(
+    inbox: &mut Vec<Delivery<M>>,
+    sender: NodeId,
+    pos: u32,
+    msg: M,
+    copies: usize,
+) {
+    for _ in 1..copies {
+        inbox.push(Delivery {
+            sender,
+            pos,
+            msg: msg.clone(),
+        });
+    }
+    inbox.push(Delivery { sender, pos, msg });
+}
+
+/// One surviving copy, as [`scatter`] hands it to its sink.
+pub(crate) struct ArcCopy<'a, M> {
+    /// The receiving neighbour.
+    pub(crate) receiver: NodeId,
+    /// The receiver-local position of the arc (what [`Delivery::pos`] holds).
+    pub(crate) pos: u32,
+    /// The sender's true message.
+    pub(crate) msg: &'a M,
+    /// The byzantine tamper salt of this arc (`None` = sent truthfully).
+    pub(crate) salt: Option<u64>,
+    /// How many identical copies travel on this arc (> 1 for a spammer).
+    pub(crate) spam: usize,
+}
+
+/// The per-copy semantics of one sender's round, defined once for the sparse
+/// executor and the mailbox shards. Every copy of `out` that survives the
+/// link-drop check (a unicast keyed by its batch index, everything else by
+/// index 0) is handed to `sink`, once per arc it travels on:
+///
+/// * a broadcast reaches every arc of the sender, parallel arcs included;
+/// * a multicast or unicast to `t` reaches every parallel arc towards `t`,
+///   and repeated multicast target entries are delivered once per arc,
+///   deduplicated on `stamps` (arc-indexed, allocated on first use);
+/// * a unicast batch goes out in batch order.
+///
+/// A copy to a crashed or halted receiver is still handed over: the sender
+/// cannot know, and the sink decides.
+pub(crate) fn scatter<'a, M>(
+    graph: &CsrGraph,
+    faults: Option<&FaultPlan>,
+    round: usize,
+    sender: NodeId,
+    out: &'a Outgoing<M>,
+    stamps: &mut Vec<u64>,
+    mut sink: impl FnMut(ArcCopy<'a, M>),
+) {
+    let link_faults = faults.filter(|f| f.affects_links());
+    let kept =
+        |to: NodeId, idx: usize| !link_faults.is_some_and(|f| f.drops(round, sender, to, idx));
+    // Outside the misbehavior window no copy needs the per-copy lookup.
+    let byz = faults
+        .and_then(|f| f.byzantine.as_ref())
+        .filter(|b| b.active(round));
+    let base = graph.arc_offset(sender);
+    let mut emit = |q: usize, msg: &'a M| {
+        let receiver = graph.neighbors(sender)[q];
+        let (salt, spam) = byz.map_or((None, 1), |b| b.copy_transform(round, sender, receiver));
+        sink(ArcCopy {
+            receiver,
+            pos: (graph.reverse_arc(base + q) - graph.arc_offset(receiver)) as u32,
+            msg,
+            salt,
+            spam,
+        });
+    };
+    let (multicast, unicast) = match out {
+        Outgoing::Silent => return,
+        Outgoing::Broadcast(m) => {
+            for (q, &v) in graph.neighbors(sender).iter().enumerate() {
+                if kept(v, 0) {
+                    emit(q, m);
+                }
+            }
+            return;
+        }
+        Outgoing::Multicast(m, targets) => (Some(targets.iter().map(move |&t| (t, 0, m))), None),
+        Outgoing::Unicast(msgs) => {
+            let batch = msgs.iter().enumerate().map(|(idx, (t, m))| (*t, idx, m));
+            (None, Some(batch))
+        }
+    };
+    let dedup = multicast.is_some();
+    let round_stamp = round as u64;
+    for (t, idx, m) in multicast
+        .into_iter()
+        .flatten()
+        .chain(unicast.into_iter().flatten())
+    {
+        if !kept(t, idx) {
+            continue;
+        }
+        for q in graph.neighbor_positions(sender, t) {
+            if dedup {
+                if stamps.len() != graph.num_arcs() {
+                    *stamps = vec![0; graph.num_arcs()];
+                }
+                if stamps[base + q] == round_stamp {
+                    continue;
+                }
+                stamps[base + q] = round_stamp;
+            }
+            emit(q, m);
+        }
+    }
+}
+
+/// Fluent construction of a [`Network`]: the one entry point selecting the
+/// execution mode, fault plan, sharding, checkpointing, and mailbox
 /// configuration (the accreted `Network::new` → `with_message_loss` →
 /// `with_faults` chain it replaced has been removed).
 ///
@@ -524,7 +712,6 @@ pub struct NetworkBuilder {
     threads: Option<usize>,
     mailbox_capacity: usize,
     max_frame_bytes: usize,
-    wire_accounting: bool,
     checkpoint_every: usize,
     shards: usize,
     shard_seed: u64,
@@ -538,7 +725,6 @@ impl Default for NetworkBuilder {
             threads: None,
             mailbox_capacity: Self::DEFAULT_MAILBOX_CAPACITY,
             max_frame_bytes: Self::DEFAULT_MAX_FRAME_BYTES,
-            wire_accounting: true,
             checkpoint_every: 0,
             shards: 0,
             shard_seed: 0,
@@ -553,7 +739,7 @@ impl NetworkBuilder {
     pub const DEFAULT_MAX_FRAME_BYTES: usize = 1 << 20;
 
     /// A builder with the defaults: [`ExecutionMode::Parallel`], no faults,
-    /// wire accounting on, automatic thread count.
+    /// automatic thread count.
     pub fn new() -> Self {
         Self::default()
     }
@@ -600,15 +786,6 @@ impl NetworkBuilder {
         self
     }
 
-    /// Enables or disables the measured `wire_bits` counter for the lockstep
-    /// executors (default on). The mailbox backend encodes every frame
-    /// regardless; disabling only skips the counting serializer on the
-    /// lockstep hot path (its `wire_bits` then reads 0).
-    pub fn wire_accounting(mut self, enabled: bool) -> Self {
-        self.wire_accounting = enabled;
-        self
-    }
-
     /// Checkpoint interval in rounds for [`Network::run_with_checkpoints`]
     /// (0 = never checkpoint, the default). The checkpoint destination and
     /// run preamble are configured per network via [`Network::checkpoint_to`]
@@ -626,8 +803,8 @@ impl NetworkBuilder {
     /// [`RoundStats::boundary_nodes`]: the sizes of the
     /// [`BoundaryDelta`] frames, one per non-empty ordered shard pair, that
     /// would carry the round's cut-crossing copies between machines. It
-    /// requires a delta-driven program and composes with any fault plan,
-    /// wire accounting, and checkpointing; it does not compose with
+    /// requires a delta-driven program and composes with any fault plan and
+    /// checkpointing; it does not compose with
     /// [`ExecutionMode::Mailbox`] (the mailbox backend has its own
     /// thread-shard notion).
     pub fn shards(mut self, n: usize) -> Self {
@@ -650,12 +827,16 @@ impl NetworkBuilder {
     ///
     /// Panics if a sparse mode is configured for a program that does not set
     /// [`NodeProgram::DELTA_DRIVEN`].
-    pub fn build<P, F>(self, graph: &WeightedGraph, factory: F) -> Network<P>
+    pub fn build<P, F>(self, graph: &WeightedGraph, mut factory: F) -> Network<P>
     where
         P: NodeProgram,
         F: FnMut(&NodeContext<'_>) -> P,
     {
-        self.configure(Network::from_graph(graph, factory))
+        let csr = CsrGraph::from_graph(graph);
+        let programs = (0..csr.num_nodes())
+            .map(|i| factory(&NodeContext::new(&csr, NodeId::new(i), 0)))
+            .collect();
+        self.build_from_parts(csr, programs)
     }
 
     /// Builds a network from an existing CSR topology and explicit programs
@@ -666,77 +847,44 @@ impl NetworkBuilder {
     /// Panics under the same conditions as [`NetworkBuilder::build`], or if
     /// `programs` and `graph` disagree on the node count.
     pub fn build_from_parts<P: NodeProgram>(self, graph: CsrGraph, programs: Vec<P>) -> Network<P> {
-        self.configure(Network::from_parts(graph, programs))
-    }
-
-    fn configure<P: NodeProgram>(self, mut net: Network<P>) -> Network<P> {
-        let mode = if self.shards > 0 {
-            assert!(
-                self.mode != ExecutionMode::Mailbox,
-                "sharded execution does not compose with the mailbox backend"
-            );
-            net.shard = Some(ShardTally::new(&net.graph, self.shards, self.shard_seed));
-            ExecutionMode::SparseSequential
-        } else {
-            self.mode
-        };
-        let mut net = net.with_mode(mode);
-        net.install_faults(self.faults);
-        net.wire_accounting = self.wire_accounting;
-        net.mailbox_threads = self.threads;
-        net.mailbox_capacity = self.mailbox_capacity;
-        net.max_frame_bytes = self.max_frame_bytes;
-        net.checkpoint_every = self.checkpoint_every;
-        net
-    }
-}
-
-impl<P: NodeProgram> Network<P> {
-    /// Builds a network over `graph`, instantiating one program per node via
-    /// `factory` (shared with [`NetworkBuilder::build`]).
-    fn from_graph<F>(graph: &WeightedGraph, mut factory: F) -> Self
-    where
-        F: FnMut(&NodeContext<'_>) -> P,
-    {
-        let csr = CsrGraph::from_graph(graph);
-        let programs = (0..csr.num_nodes())
-            .map(|i| {
-                let ctx = NodeContext::new(&csr, NodeId::new(i), 0);
-                factory(&ctx)
-            })
-            .collect();
-        Self::from_parts(csr, programs)
-    }
-
-    /// Builds a network from an existing CSR topology and explicit programs
-    /// (one per node, in node order).
-    pub fn from_parts(graph: CsrGraph, programs: Vec<P>) -> Self {
         assert_eq!(
             graph.num_nodes(),
             programs.len(),
             "one program per node required"
         );
-        let cells = programs
-            .into_iter()
-            .map(|program| NodeCell {
-                program,
-                inbox: Vec::new(),
-            })
-            .collect();
-        Network {
+        let sharded = self.shards > 0;
+        assert!(
+            !sharded || self.mode != ExecutionMode::Mailbox,
+            "sharded execution does not compose with the mailbox backend"
+        );
+        let mode = if sharded {
+            ExecutionMode::SparseSequential
+        } else {
+            self.mode
+        };
+        assert!(
+            P::DELTA_DRIVEN || !mode.is_sparse(),
+            "sparse execution modes require a delta-driven program \
+             (see NodeProgram::DELTA_DRIVEN)"
+        );
+        let mut net = Network {
+            shard: sharded.then(|| ShardTally::new(&graph, self.shards, self.shard_seed)),
             graph,
-            cells,
+            cells: programs
+                .into_iter()
+                .map(|program| NodeCell {
+                    program,
+                    inbox: Vec::new(),
+                })
+                .collect(),
             round: 0,
             metrics: RunMetrics::new(),
-            mode: ExecutionMode::default(),
+            mode,
             faults: None,
-            crash_schedule: Vec::new(),
-            byz_accusation_schedule: Vec::new(),
-            quarantine_schedule: Vec::new(),
-            wire_accounting: true,
-            mailbox_threads: None,
-            mailbox_capacity: NetworkBuilder::DEFAULT_MAILBOX_CAPACITY,
-            max_frame_bytes: NetworkBuilder::DEFAULT_MAX_FRAME_BYTES,
+            schedules: FaultSchedules::default(),
+            mailbox_threads: self.threads,
+            mailbox_capacity: self.mailbox_capacity,
+            max_frame_bytes: self.max_frame_bytes,
             decode_faults: Vec::new(),
             outboxes: Vec::new(),
             step_results: Vec::new(),
@@ -746,31 +894,15 @@ impl<P: NodeProgram> Network<P> {
             touch_list: Vec::new(),
             touched_stamp: Vec::new(),
             resend: Vec::new(),
-            shard: None,
-            checkpoint_every: 0,
+            checkpoint_every: self.checkpoint_every,
             checkpoint_sink: None,
-        }
+        };
+        net.install_faults(self.faults);
+        net
     }
+}
 
-    /// Selects the execution mode (defaults to [`ExecutionMode::Parallel`]).
-    ///
-    /// # Panics
-    ///
-    /// Panics if a sparse mode is requested for a program that does not set
-    /// [`NodeProgram::DELTA_DRIVEN`], or after rounds have already executed.
-    pub fn with_mode(mut self, mode: ExecutionMode) -> Self {
-        if mode.is_sparse() {
-            assert!(
-                P::DELTA_DRIVEN,
-                "sparse execution modes require a delta-driven program \
-                 (see NodeProgram::DELTA_DRIVEN)"
-            );
-            assert_eq!(self.round, 0, "select the execution mode before running");
-        }
-        self.mode = mode;
-        self
-    }
-
+impl<P: NodeProgram> Network<P> {
     /// Installs a fault plan in place (shared with [`NetworkBuilder`]). A
     /// trivial plan uninstalls.
     ///
@@ -781,38 +913,16 @@ impl<P: NodeProgram> Network<P> {
         assert_eq!(self.round, 0, "install the fault plan before running");
         if plan.is_trivial() {
             self.faults = None;
-            self.crash_schedule = Vec::new();
-            self.byz_accusation_schedule = Vec::new();
-            self.quarantine_schedule = Vec::new();
+            self.schedules = FaultSchedules::default();
         } else {
             let n = self.cells.len();
-            self.crash_schedule = plan.crash_schedule(n);
-            self.byz_accusation_schedule = plan.byz_accusation_schedule(n);
-            self.quarantine_schedule = plan.quarantine_schedule(n);
+            self.schedules = FaultSchedules {
+                crash: plan.crash_schedule(n),
+                accusations: plan.byz_accusation_schedule(n),
+                quarantine: plan.quarantine_schedule(n),
+            };
             self.faults = Some(plan);
         }
-    }
-
-    /// The number of nodes that have crash-stopped as of `round` under the
-    /// installed plan.
-    fn crashed_count(&self, round: usize) -> usize {
-        self.crash_schedule
-            .partition_point(|&r| (r as usize) <= round)
-    }
-
-    /// Cumulative byzantine accusation events through `round` under the
-    /// installed plan (schedule-driven — see
-    /// [`FaultPlan::byz_accusation_schedule`]).
-    fn accusation_count(&self, round: usize) -> usize {
-        self.byz_accusation_schedule
-            .partition_point(|&r| (r as usize) <= round)
-    }
-
-    /// The number of nodes quarantined as of `round` under the installed
-    /// plan.
-    fn quarantined_count(&self, round: usize) -> usize {
-        self.quarantine_schedule
-            .partition_point(|&r| (r as usize) <= round)
     }
 
     /// The simulated topology.
@@ -893,7 +1003,6 @@ impl<P: NodeProgram> Network<P> {
         let round = self.round;
         let graph = &self.graph;
         let faults = self.faults;
-        let wire = self.wire_accounting;
 
         // Phase 1: every (non-halted) node produces its outgoing messages.
         // The accounting (post-fault, see `with_faults`) is computed in the
@@ -904,7 +1013,7 @@ impl<P: NodeProgram> Network<P> {
                 .cells
                 .par_iter_mut()
                 .enumerate()
-                .map(|(i, cell)| produce_outgoing(graph, faults, round, i, wire, cell))
+                .map(|(i, cell)| produce_outgoing(graph, faults, round, i, cell))
                 .collect_into_vec(&mut self.outboxes),
             _ => {
                 self.outboxes.clear();
@@ -913,33 +1022,15 @@ impl<P: NodeProgram> Network<P> {
                     self.cells
                         .iter_mut()
                         .enumerate()
-                        .map(|(i, cell)| produce_outgoing(graph, faults, round, i, wire, cell)),
+                        .map(|(i, cell)| produce_outgoing(graph, faults, round, i, cell)),
                 );
             }
         }
 
         // Reduce the per-sender accounting rows (cheap: plain integers).
-        let mut messages = 0usize;
-        let mut payload_bits = 0usize;
-        let mut wire_bits = 0usize;
-        let mut max_message_bits = 0usize;
-        let mut sending_nodes = 0usize;
-        let mut dropped_loss = 0usize;
-        let mut dropped_burst = 0usize;
-        let mut dropped_partition = 0usize;
-        let mut dropped_byzantine = 0usize;
+        let mut tally = RoundTally::default();
         for (_, acct) in &self.outboxes {
-            if acct.messages > 0 {
-                sending_nodes += 1;
-                messages += acct.messages;
-                payload_bits += acct.payload_bits;
-                wire_bits += acct.wire_bits;
-                max_message_bits = max_message_bits.max(acct.max_message_bits);
-            }
-            dropped_loss += acct.dropped_loss;
-            dropped_burst += acct.dropped_burst;
-            dropped_partition += acct.dropped_partition;
-            dropped_byzantine += acct.dropped_byzantine;
+            tally.add_send(acct);
         }
 
         // Multicast scatter: each sender stamps its own CSR arc positions for
@@ -981,15 +1072,13 @@ impl<P: NodeProgram> Network<P> {
         let link_faults = faults.filter(FaultPlan::affects_links);
         // Byzantine lie/equivocate corruption and spam duplication are
         // applied receiver-side here (the outbox holds the sender's true
-        // message); the mailbox backend applies the same salts sender-side
-        // when encoding frames — identical results because tampering is
-        // salt-pure (see `crate::message::Tamper`).
-        let byz = faults
-            .and_then(|f| f.byzantine)
-            .filter(|b| b.fraction > 0.0 && b.active(round));
+        // message) with the same `(salt, spam)` pair the `scatter` kernel
+        // hands its sinks — identical results because tampering is salt-pure
+        // (see `crate::message::Tamper`).
+        let byz = faults.and_then(|f| f.byzantine).filter(|b| b.active(round));
         let receive_one = |i: usize, cell: &mut NodeCell<P>| -> StepResult {
             let v = NodeId::new(i);
-            if cell.program.halted() || faults.is_some_and(|f| f.crashed(round, v)) {
+            if cell.is_down(faults, round, v) {
                 return StepResult::default();
             }
             let dropped = |from: NodeId, idx: usize| -> bool {
@@ -998,27 +1087,11 @@ impl<P: NodeProgram> Network<P> {
             let arc_base = graph.arc_offset(v);
             cell.inbox.clear();
             for (q, &u) in graph.neighbors(v).iter().enumerate() {
-                let (salt, copies) = match &byz {
-                    None => (None, 1),
-                    Some(b) => (b.tamper_salt(round, u, v), b.spam_factor(round, u)),
-                };
+                let (salt, spam) = byz
+                    .as_ref()
+                    .map_or((None, 1), |b| b.copy_transform(round, u, v));
                 let deliver = |inbox: &mut Vec<Delivery<P::Message>>, msg: &P::Message| {
-                    let msg = match salt {
-                        Some(s) => msg.tamper(s),
-                        None => msg.clone(),
-                    };
-                    for _ in 1..copies {
-                        inbox.push(Delivery {
-                            sender: u,
-                            pos: q as u32,
-                            msg: msg.clone(),
-                        });
-                    }
-                    inbox.push(Delivery {
-                        sender: u,
-                        pos: q as u32,
-                        msg,
-                    });
+                    push_copies(inbox, u, q as u32, tampered(msg, salt), spam);
                 };
                 match &outboxes[u.index()].0 {
                     Outgoing::Silent => {}
@@ -1077,33 +1150,14 @@ impl<P: NodeProgram> Network<P> {
                 );
             }
         }
-        let changed_nodes = self.step_results.iter().filter(|r| r.changed).count();
-        let node_updates = self.step_results.iter().filter(|r| r.ran).count();
-
-        RoundStats {
-            round,
-            messages,
-            payload_bits,
-            wire_bits,
-            max_message_bits,
-            sending_nodes,
-            changed_nodes,
-            node_updates,
-            dropped_loss,
-            dropped_burst,
-            dropped_partition,
-            dropped_byzantine,
-            crashed_nodes: self.crashed_count(round),
-            byzantine_accusations: self.accusation_count(round),
-            quarantined_nodes: self.quarantined_count(round),
-            boundary_bits: 0,
-            boundary_nodes: 0,
-        }
+        tally.changed_nodes = self.step_results.iter().filter(|r| r.changed).count();
+        tally.node_updates = self.step_results.iter().filter(|r| r.ran).count();
+        tally.into_stats(round, &self.schedules, (0, 0))
     }
 
     /// Sparse activation: only the frontier broadcasts, only touched nodes
     /// step. Valid for [`NodeProgram::DELTA_DRIVEN`] programs (enforced by
-    /// [`Network::with_mode`]); result-identical to dense execution.
+    /// [`NetworkBuilder::build`]); result-identical to dense execution.
     fn run_round_sparse(&mut self) -> RoundStats {
         let round = self.round;
         let round_stamp = round as u64;
@@ -1146,11 +1200,9 @@ impl<P: NodeProgram> Network<P> {
                     ) {
                         continue;
                     }
-                    if self.cells[i].program.halted() || faults.is_some_and(|f| f.crashed(round, v))
-                    {
-                        continue;
+                    if !self.cells[i].is_down(faults, round, v) {
+                        self.frontier.push(i as u32);
                     }
-                    self.frontier.push(i as u32);
                 }
                 self.frontier.sort_unstable();
                 self.frontier.dedup();
@@ -1161,13 +1213,7 @@ impl<P: NodeProgram> Network<P> {
             // Quiescent: the round is a no-op (and costs O(1)). The
             // cumulative schedule-driven counters still report, matching
             // dense rounds.
-            return RoundStats {
-                round,
-                crashed_nodes: self.crashed_count(round),
-                byzantine_accusations: self.accusation_count(round),
-                quarantined_nodes: self.quarantined_count(round),
-                ..RoundStats::default()
-            };
+            return RoundTally::default().into_stats(round, &self.schedules, (0, 0));
         }
 
         // Phase 1: frontier nodes produce their outgoing messages, with the
@@ -1176,44 +1222,22 @@ impl<P: NodeProgram> Network<P> {
         // exactly the rounds a dense run would have delivered it; a crashed
         // frontier node produces nothing and silently leaves the frontier
         // (it can never report a change again).
-        let mut messages = 0usize;
-        let mut payload_bits = 0usize;
-        let mut wire_bits = 0usize;
-        let mut max_message_bits = 0usize;
-        let mut sending_nodes = 0usize;
-        let mut dropped_loss = 0usize;
-        let mut dropped_burst = 0usize;
-        let mut dropped_partition = 0usize;
-        let mut dropped_byzantine = 0usize;
+        let mut tally = RoundTally::default();
         self.resend.clear();
-        let wire = self.wire_accounting;
         for idx in 0..self.frontier.len() {
             let u = self.frontier[idx] as usize;
-            let row =
-                produce_outgoing(&self.graph, self.faults, round, u, wire, &mut self.cells[u]);
+            let row = produce_outgoing(&self.graph, self.faults, round, u, &mut self.cells[u]);
             let acct = row.1;
             self.outboxes[u] = row;
-            if acct.messages > 0 {
-                sending_nodes += 1;
-                messages += acct.messages;
-                payload_bits += acct.payload_bits;
-                wire_bits += acct.wire_bits;
-                max_message_bits = max_message_bits.max(acct.max_message_bits);
-            }
-            dropped_loss += acct.dropped_loss;
-            dropped_burst += acct.dropped_burst;
-            dropped_partition += acct.dropped_partition;
-            dropped_byzantine += acct.dropped_byzantine;
+            tally.add_send(&acct);
             if acct.any_dropped() {
                 self.resend.push(u as u32);
             }
         }
 
-        // Phase 2: sender-side scatter into the receivers' inboxes. Each
-        // delivery translates the sender-side arc to the receiver-local
-        // position through `reverse_arc`, so receivers never rescan their
-        // adjacency lists. The first delivery of the round to a node clears
-        // its (stale) inbox and registers it in the touch list.
+        // Phase 2: sender-side scatter into the receivers' inboxes through
+        // the `scatter` kernel. The first delivery of the round to a node
+        // clears its (stale) inbox and registers it in the touch list.
         {
             let Network {
                 graph,
@@ -1229,18 +1253,12 @@ impl<P: NodeProgram> Network<P> {
             } = self;
             touch_list.clear();
             let faults = *faults;
-            let link_faults = faults.filter(FaultPlan::affects_links);
-            // Same receiver-observable byzantine corruption as the dense
-            // path, applied at the sender-side scatter point.
-            let byz = faults
-                .and_then(|f| f.byzantine)
-                .filter(|b| b.fraction > 0.0 && b.active(round));
             // A crashed (or halted) node is never touched: it does not step,
             // mirroring the dense receive skip, so it stays out of the
             // frontier bookkeeping entirely.
             let mut touch = |cells: &mut Vec<NodeCell<P>>, v: NodeId| -> bool {
                 let cell = &mut cells[v.index()];
-                if cell.program.halted() || faults.is_some_and(|f| f.crashed(round, v)) {
+                if cell.is_down(faults, round, v) {
                     return false;
                 }
                 if touched_stamp[v.index()] != round_stamp {
@@ -1250,92 +1268,33 @@ impl<P: NodeProgram> Network<P> {
                 }
                 true
             };
-            for &uu in frontier.iter() {
-                let u = uu as usize;
-                let sender = NodeId::new(u);
-                let base = graph.arc_offset(sender);
-                let dropped = |to: NodeId, idx: usize| -> bool {
-                    link_faults.is_some_and(|f| f.drops(round, sender, to, idx))
-                };
-                let spam = byz.as_ref().map_or(1, |b| b.spam_factor(round, sender));
+            for &u in frontier.iter() {
+                let sender = NodeId(u);
                 if let Some(t) = shard.as_mut() {
                     t.visit += 1;
                 }
-                // Deliver the copies on the arc at sender-local position `q`
-                // (one copy, or `spam` identical copies for an active
-                // spammer), applying the sender's per-receiver tamper salt.
-                // A sharded run tallies a cut-crossing copy before the
-                // receiver's halted/crashed check: the frame carries it
-                // either way.
-                let mut deliver = |cells: &mut Vec<NodeCell<P>>, q: usize, msg: &P::Message| {
-                    let v = graph.neighbors(sender)[q];
-                    let pos = (graph.reverse_arc(base + q) - graph.arc_offset(v)) as u32;
-                    let msg = match byz.as_ref().and_then(|b| b.tamper_salt(round, sender, v)) {
-                        Some(s) => msg.tamper(s),
-                        None => msg.clone(),
-                    };
-                    if let Some(t) = shard.as_mut() {
-                        t.count(sender, v, pos, &msg, spam);
-                    }
-                    if !touch(cells, v) {
-                        return;
-                    }
-                    let inbox = &mut cells[v.index()].inbox;
-                    for _ in 1..spam {
-                        inbox.push(Delivery {
-                            sender,
-                            pos,
-                            msg: msg.clone(),
-                        });
-                    }
-                    inbox.push(Delivery { sender, pos, msg });
-                };
-                match &outboxes[u].0 {
-                    Outgoing::Silent => {}
-                    Outgoing::Broadcast(m) => {
-                        for (q, &v) in graph.neighbors(sender).iter().enumerate() {
-                            if !dropped(v, 0) {
-                                deliver(cells, q, m);
-                            }
+                let out = &outboxes[sender.index()].0;
+                scatter(
+                    graph,
+                    faults.as_ref(),
+                    round,
+                    sender,
+                    out,
+                    multicast_stamps,
+                    |c| {
+                        let msg = tampered(c.msg, c.salt);
+                        // A sharded run tallies a cut-crossing copy before the
+                        // receiver's halted/crashed check: the frame carries it
+                        // either way.
+                        if let Some(t) = shard.as_mut() {
+                            t.count(sender, c.receiver, c.pos, &msg, c.spam);
                         }
-                    }
-                    Outgoing::Multicast(m, targets) => {
-                        if targets.is_empty() {
-                            continue;
+                        if touch(cells, c.receiver) {
+                            let inbox = &mut cells[c.receiver.index()].inbox;
+                            push_copies(inbox, sender, c.pos, msg, c.spam);
                         }
-                        if multicast_stamps.len() != graph.num_arcs() {
-                            *multicast_stamps = vec![0; graph.num_arcs()];
-                        }
-                        for &t in targets {
-                            if dropped(t, 0) {
-                                continue;
-                            }
-                            for q in graph.neighbor_positions(sender, t) {
-                                // The stamp deduplicates repeated target
-                                // entries (dense delivery is idempotent in
-                                // them); parallel arcs have distinct
-                                // positions and each gets its copy.
-                                if multicast_stamps[base + q] == round_stamp {
-                                    continue;
-                                }
-                                multicast_stamps[base + q] = round_stamp;
-                                deliver(cells, q, m);
-                            }
-                        }
-                    }
-                    Outgoing::Unicast(msgs) => {
-                        for (idx, (t, m)) in msgs.iter().enumerate() {
-                            if dropped(*t, idx) {
-                                continue;
-                            }
-                            // Dense delivery hands a unicast to every parallel
-                            // arc towards the target; mirror that here.
-                            for q in graph.neighbor_positions(sender, *t) {
-                                deliver(cells, q, m);
-                            }
-                        }
-                    }
-                }
+                    },
+                );
             }
             if round == 1 {
                 // Every node executes its first step even with an empty inbox
@@ -1349,8 +1308,7 @@ impl<P: NodeProgram> Network<P> {
 
         // Phase 3: touched nodes run their step; nodes that changed (plus
         // re-senders) form the next frontier.
-        let node_updates = self.touch_list.len();
-        let mut changed_nodes = 0usize;
+        tally.node_updates = self.touch_list.len();
         self.next_frontier.clear();
         match self.mode {
             ExecutionMode::SparseParallel => {
@@ -1373,7 +1331,6 @@ impl<P: NodeProgram> Network<P> {
                     .collect_into_vec(&mut self.step_results);
                 for &v in &self.touch_list {
                     if self.step_results[v as usize].changed {
-                        changed_nodes += 1;
                         self.next_frontier.push(v);
                     }
                 }
@@ -1384,38 +1341,18 @@ impl<P: NodeProgram> Network<P> {
                     let ctx = NodeContext::new(&self.graph, NodeId::new(v), round);
                     let NodeCell { program, inbox } = &mut self.cells[v];
                     if program.receive(&ctx, inbox) {
-                        changed_nodes += 1;
                         self.next_frontier.push(v as u32);
                     }
                 }
             }
         }
+        tally.changed_nodes = self.next_frontier.len();
         self.next_frontier.extend_from_slice(&self.resend);
         self.next_frontier.sort_unstable();
         self.next_frontier.dedup();
         std::mem::swap(&mut self.frontier, &mut self.next_frontier);
-        let (boundary_bits, boundary_nodes) =
-            self.shard.as_mut().map_or((0, 0), |t| t.close_round(round));
-
-        RoundStats {
-            round,
-            messages,
-            payload_bits,
-            wire_bits,
-            max_message_bits,
-            sending_nodes,
-            changed_nodes,
-            node_updates,
-            dropped_loss,
-            dropped_burst,
-            dropped_partition,
-            dropped_byzantine,
-            crashed_nodes: self.crashed_count(round),
-            byzantine_accusations: self.accusation_count(round),
-            quarantined_nodes: self.quarantined_count(round),
-            boundary_bits,
-            boundary_nodes,
-        }
+        let boundary = self.shard.as_mut().map_or((0, 0), |t| t.close_round(round));
+        tally.into_stats(round, &self.schedules, boundary)
     }
 
     /// Runs exactly `rounds` rounds.
@@ -2689,6 +2626,84 @@ mod tests {
         g
     }
 
+    /// Sends [`mixed_outgoing`] and records every inbox it steps on as
+    /// `(pos, sender, msg)` triples, in delivery order.
+    struct MixedRecorder {
+        inbox: Vec<(u32, u32, u32)>,
+    }
+
+    impl NodeProgram for MixedRecorder {
+        type Message = u32;
+        const DELTA_DRIVEN: bool = true;
+        fn broadcast(&mut self, ctx: &NodeContext<'_>) -> Outgoing<u32> {
+            mixed_outgoing(ctx.node(), ctx.neighbors())
+        }
+        fn receive(&mut self, _ctx: &NodeContext<'_>, inbox: &[Delivery<u32>]) -> bool {
+            self.inbox = inbox.iter().map(|d| (d.pos, d.sender.0, d.msg)).collect();
+            false
+        }
+    }
+
+    /// Every executor agrees on round 1 of mixed traffic (broadcasts,
+    /// doubled multicast targets, two-message unicast batches, a parallel
+    /// 0–1 edge) under loss, crashes and every byzantine behavior: the same
+    /// `RoundStats`, and each node receives the same copies — in the same
+    /// order for the dense modes and the mailbox backend, as the same
+    /// multiset for the sparse and sharded runs.
+    #[test]
+    fn executors_agree_on_mixed_byzantine_traffic() {
+        let g = mixed_graph();
+        let plan = FaultPlan::from_loss(LossModel::new(0.2, 11))
+            .with_crash(CrashModel::new(0.3, 1, 1, 12))
+            .with_byzantine(ByzantineModel::new(
+                0.5,
+                ByzantineModel::ALL_BEHAVIORS,
+                1,
+                3,
+                22,
+            ));
+        let run = |builder: NetworkBuilder| {
+            let mut net = builder
+                .faults(plan)
+                .build(&g, |_| MixedRecorder { inbox: Vec::new() });
+            let stats = net.run_round();
+            let (programs, _) = net.into_parts();
+            let inboxes: Vec<_> = programs.into_iter().map(|p| p.inbox).collect();
+            (stats, inboxes)
+        };
+        let sorted = |inboxes: &[Vec<(u32, u32, u32)>]| -> Vec<Vec<(u32, u32, u32)>> {
+            inboxes
+                .iter()
+                .map(|inbox| {
+                    let mut inbox = inbox.clone();
+                    inbox.sort_unstable();
+                    inbox
+                })
+                .collect()
+        };
+        let (reference, ref_inboxes) = run(NetworkBuilder::new().mode(ExecutionMode::Sequential));
+        assert!(reference.messages > 0 && reference.dropped_loss > 0);
+        assert!(reference.dropped_byzantine > 0 && reference.crashed_nodes > 0);
+        let tampered = g
+            .nodes()
+            .any(|u| g.nodes().any(|v| plan.tamper_salt(1, u, v).is_some()));
+        let spammed = g.nodes().any(|u| plan.spam_factor(1, u) > 1);
+        assert!(tampered && spammed, "the setup covers tamper and spam");
+        for mode in &ALL_MODES[1..] {
+            let (stats, inboxes) = run(NetworkBuilder::new().mode(*mode));
+            assert_eq!(stats, reference, "{mode:?}");
+            if mode.is_sparse() {
+                assert_eq!(sorted(&inboxes), sorted(&ref_inboxes), "{mode:?}");
+            } else {
+                assert_eq!(inboxes, ref_inboxes, "{mode:?}");
+            }
+        }
+        let (stats, inboxes) = run(NetworkBuilder::new().shards(3).shard_seed(5));
+        assert!(stats.boundary_bits > 0);
+        assert_eq!(strip_boundary(&[stats]), [reference], "sharded");
+        assert_eq!(sorted(&inboxes), sorted(&ref_inboxes), "sharded");
+    }
+
     /// The boundary tally equals the wire size of the `BoundaryDelta` frames
     /// the cut-crossing copies of a round fill — built here explicitly, one
     /// record per copy after the link-drop decision (spam duplicates
@@ -2891,7 +2906,7 @@ mod tests {
     fn program_count_must_match_node_count() {
         let g = complete_graph(3);
         let csr = CsrGraph::from(&g);
-        let _ = Network::from_parts(csr, vec![MinIdFlood { best: 0 }]);
+        let _ = NetworkBuilder::new().build_from_parts(csr, vec![MinIdFlood { best: 0 }]);
     }
 
     // -----------------------------------------------------------------------
