@@ -24,7 +24,7 @@ use dkc_graph::properties::diameter_double_sweep;
 use dkc_graph::{CsrGraph, NodeId, WeightedGraph};
 // Wall-clock audit (dkc-lint D02 allowlist): every `Instant::now` in this
 // file times a phase for a table column or a record's wall_clock_ms /
-// messages_per_sec; the check_bench.sh-gated counters never depend on it
+// messages_per_sec; the counters `dkc-bench check` gates never depend on it
 // (crates/bench/tests/wall_clock_isolation.rs pins this).
 use std::time::Instant;
 
@@ -227,12 +227,13 @@ pub fn exp_coreness_ratio(
         }
         // The reference computations are centralized: real wall-clock and
         // round budget, no simulated communication.
-        out.records.push(ExperimentRecord::centralized(
+        out.records.push(ExperimentRecord::from_counts(
             "E2",
             format!("{}-eps{epsilon}", workload.name),
             scale.name(),
             started.elapsed(),
             t_full,
+            0,
         ));
     }
     out
@@ -278,12 +279,13 @@ pub fn exp_rounds_to_target(scale: WorkloadScale, epsilon: f64) -> ExperimentOut
             first_round_below(2.0),
             first_round_below(1.1),
         ]);
-        out.records.push(ExperimentRecord::centralized(
+        out.records.push(ExperimentRecord::from_counts(
             "E3",
             workload.name,
             scale.name(),
             started.elapsed(),
             budget,
+            0,
         ));
     }
     out
@@ -1294,26 +1296,16 @@ pub fn exp_ingest(scale: WorkloadScale) -> ExperimentOutput {
             let edges = parsed.graph.num_edges();
             let secs = wall.as_secs_f64();
             out.records.push(ExperimentRecord {
-                experiment: "E11".into(),
-                workload: format!("{}-{}", workload.name, format.name()),
-                scale: scale.name().into(),
-                wall_clock_ms: secs * 1e3,
-                rounds: parsed.graph.num_nodes(),
-                total_messages: edges,
                 payload_bits: bytes * 8,
                 max_message_bits: 64 - max_ext.leading_zeros() as usize,
-                wire_bits: 0,
-                node_updates: 0,
-                dropped_loss: 0,
-                dropped_burst: 0,
-                dropped_partition: 0,
-                dropped_byzantine: 0,
-                crashed_nodes: 0,
-                byzantine_accusations: 0,
-                quarantined_nodes: 0,
-                boundary_bits: 0,
-                boundary_nodes: 0,
-                messages_per_sec: if secs > 0.0 { edges as f64 / secs } else { 0.0 },
+                ..ExperimentRecord::from_counts(
+                    "E11",
+                    format!("{}-{}", workload.name, format.name()),
+                    scale.name(),
+                    wall,
+                    parsed.graph.num_nodes(),
+                    edges,
+                )
             });
             out.table.row(vec![
                 workload.name.into(),
@@ -1442,23 +1434,17 @@ pub fn exp_sharding(
                     "{}-{scenario}: sharded ({z} shards) in-neighbour sets diverged",
                     workload.name
                 );
-                // …and on every deterministic counter check_bench.sh gates on
-                // (boundary_bits/boundary_nodes are the sharded run's own).
-                let rm = &reference.metrics;
-                let sm = &sharded.metrics;
-                let identical = rm.num_rounds() == sm.num_rounds()
-                    && rm.total_messages() == sm.total_messages()
-                    && rm.total_payload_bits() == sm.total_payload_bits()
-                    && rm.max_message_bits() == sm.max_message_bits()
-                    && rm.total_wire_bits() == sm.total_wire_bits()
-                    && rm.total_node_updates() == sm.total_node_updates()
-                    && rm.total_dropped_loss() == sm.total_dropped_loss()
-                    && rm.total_dropped_burst() == sm.total_dropped_burst()
-                    && rm.total_dropped_partition() == sm.total_dropped_partition()
-                    && rm.total_dropped_byzantine() == sm.total_dropped_byzantine()
-                    && rm.crashed_nodes() == sm.crashed_nodes()
-                    && rm.byzantine_accusations() == sm.byzantine_accusations()
-                    && rm.quarantined_nodes() == sm.quarantined_nodes();
+                // …and on every deterministic counter `dkc-bench check` gates
+                // on but the two boundary counters, which come last and are
+                // the sharded run's own.
+                let (rm, sm) = (&reference.metrics, &sharded.metrics);
+                let counters = |m| ExperimentRecord::from_metrics("", "", "", m).counters();
+                let shared = ExperimentRecord::COUNTERS.len() - 2;
+                debug_assert_eq!(
+                    ExperimentRecord::COUNTERS[shared..],
+                    ["boundary_bits", "boundary_nodes"]
+                );
+                let identical = counters(rm)[..shared] == counters(sm)[..shared];
                 assert!(
                     identical,
                     "{}-{scenario}: sharded ({z} shards) deterministic counters \

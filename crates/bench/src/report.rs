@@ -41,115 +41,145 @@
 //! }
 //! ```
 //!
-//! ## Schema migration
+//! ## One counter table
 //!
-//! Version 2 added the deterministic `node_updates` counter — the number of
-//! node steps the executor actually ran, the CI-gateable measure of the
-//! sparse frontier executor's active-set work reduction. Version 3 (the
-//! `FaultPlan` PR) adds the four deterministic fault counters
-//! (`dropped_loss`, `dropped_burst`, `dropped_partition`, `crashed_nodes`)
-//! that E13 gates on. Version 4 (the wire-codec PR) adds `wire_bits`: the
-//! **measured** total size of the length-prefixed encoded frames every
-//! delivered message would occupy on the wire, as opposed to the
-//! `MessageSize`-estimated `payload_bits` (see `dkc_distsim::wire`).
-//! Version 5 (the byzantine-fault PR) adds the three deterministic byzantine
-//! counters (`dropped_byzantine`, `byzantine_accusations`,
-//! `quarantined_nodes`) that E14 gates on. Version 6 (the sharding PR) adds
-//! the two deterministic sharded-execution counters (`boundary_bits`,
-//! `boundary_nodes`) that E15 gates on: the cross-shard `BoundaryDelta`
-//! frame traffic and the distinct boundary senders per round (both 0 for
-//! unsharded and single-shard runs).
-//! Older reports are still **read**: a missing counter
-//! introduced by a later version defaults to 0 and the parsed report is
-//! upgraded in memory (its `schema_version` becomes the current one), so
-//! re-serializing always emits the current schema. In a report carrying the
-//! version that introduced a field, that field is mandatory. Baselines under
-//! `bench/baselines/` are committed in v6 form; `scripts/check_bench.sh`
-//! understands all six versions.
+//! The fifteen deterministic counters are named once, in the `counters!`
+//! table below. It emits their [`ExperimentRecord`] fields,
+//! [`ExperimentRecord::COUNTERS`] (the names, in JSON order) and
+//! [`ExperimentRecord::counters`]; [`ExperimentRecord::from_metrics`],
+//! serialization, parsing and the baseline gate ([`Report::check_against`],
+//! run by the `dkc-bench` binary) all iterate over it. Adding a counter is
+//! one table line, a [`SCHEMA_VERSION`] bump and a baseline regeneration.
+//!
+//! ## Schema version
+//!
+//! Only v6 is read: [`Report::from_json`] rejects every other
+//! `schema_version` instead of guessing the counters an older report lacks.
+//! Every baseline under `bench/baselines/` is committed in v6 form.
 //!
 //! Serialization goes through the vendored `serde` data model into
-//! `serde_json`; parsing uses `serde_json::Value` accessors so malformed
-//! reports produce field-level error messages.
+//! `serde_json`; parsing uses `serde_json::Value` accessors and reports every
+//! missing or ill-typed field of a malformed report at once.
 
 use crate::workloads::WorkloadScale;
 use dkc_distsim::RunMetrics;
 use serde::{Serialize, SerializeStruct, Serializer};
 use serde_json::Value;
+use std::collections::{BTreeMap, HashSet};
 use std::path::Path;
 use std::time::Duration;
 
 /// Version stamp written into every report; bump when the schema changes.
 pub const SCHEMA_VERSION: u64 = 6;
 
-/// Oldest schema version [`Report::from_json`] still accepts (upgrading it
-/// to [`SCHEMA_VERSION`] in memory).
-pub const MIN_SUPPORTED_SCHEMA_VERSION: u64 = 1;
+/// Declares the deterministic counters, one `name = RunMetrics accessor`
+/// line each with the field's doc comment, in JSON order.
+macro_rules! counters {
+    ($($(#[doc = $doc:literal])* $name:ident = $metric:ident,)*) => {
+        /// One measured run: the deterministic protocol counters plus timing.
+        #[derive(Clone, Debug, PartialEq)]
+        pub struct ExperimentRecord {
+            /// Experiment id (`"E1"`–`"E15"`).
+            pub experiment: String,
+            /// Workload / instance label (e.g. `"ba"`, `"fig1-ring-64"`).
+            pub workload: String,
+            /// Scale the run executed at (`"tiny"` / `"small"` / `"medium"`,
+            /// or `""` until stamped by [`Report::extend`] for scale-agnostic
+            /// experiments).
+            pub scale: String,
+            /// Wall-clock of the run in milliseconds (non-deterministic).
+            pub wall_clock_ms: f64,
+            $($(#[doc = $doc])* pub $name: usize,)*
+            /// Derived throughput: `total_messages / wall_clock`
+            /// (non-deterministic, 0 when no messages or no measurable time).
+            pub messages_per_sec: f64,
+        }
 
-/// One measured run: the deterministic protocol counters plus timing.
-#[derive(Clone, Debug, PartialEq)]
-pub struct ExperimentRecord {
-    /// Experiment id (`"E1"`–`"E12"`).
-    pub experiment: String,
-    /// Workload / instance label (e.g. `"ba"`, `"fig1-ring-64"`).
-    pub workload: String,
-    /// Scale the run executed at (`"tiny"` / `"small"` / `"medium"`, or `""`
-    /// until stamped by [`Report::extend`] for scale-agnostic experiments).
-    pub scale: String,
-    /// Wall-clock of the run in milliseconds (non-deterministic).
-    pub wall_clock_ms: f64,
+        impl ExperimentRecord {
+            /// The deterministic counters' names, in JSON order: exactly the
+            /// fields the baseline gate compares.
+            pub const COUNTERS: [&'static str; NUM_COUNTERS] = [$(stringify!($name)),*];
+
+            /// The deterministic counters, in [`Self::COUNTERS`] order.
+            pub fn counters(&self) -> [usize; NUM_COUNTERS] {
+                [$(self.$name),*]
+            }
+
+            fn with_counters(
+                experiment: String,
+                workload: String,
+                scale: String,
+                wall_clock_ms: f64,
+                [$($name),*]: [usize; NUM_COUNTERS],
+                messages_per_sec: f64,
+            ) -> Self {
+                ExperimentRecord {
+                    experiment,
+                    workload,
+                    scale,
+                    wall_clock_ms,
+                    $($name,)*
+                    messages_per_sec,
+                }
+            }
+
+            fn metric_counters(metrics: &RunMetrics) -> [usize; NUM_COUNTERS] {
+                [$(metrics.$metric()),*]
+            }
+        }
+
+        const NUM_COUNTERS: usize = [$(stringify!($name)),*].len();
+    };
+}
+
+counters! {
     /// Rounds executed (deterministic).
-    pub rounds: usize,
+    rounds = num_rounds,
     /// Total delivered messages (deterministic).
-    pub total_messages: usize,
+    total_messages = total_messages,
     /// Total delivered payload bits (deterministic).
-    pub payload_bits: usize,
+    payload_bits = total_payload_bits,
     /// Largest delivered message, in bits (deterministic).
-    pub max_message_bits: usize,
+    max_message_bits = max_message_bits,
     /// Total **measured** wire size of the delivered messages: the bits their
     /// length-prefixed encoded frames occupy (deterministic; see
     /// `dkc_distsim::wire`). Unlike `payload_bits` — the `MessageSize`
     /// *estimate* — this is what the codec actually produces, identical
-    /// across execution modes and thread counts. 0 for records migrated from
-    /// schema ≤ 3 and for non-simulated records.
-    pub wire_bits: usize,
+    /// across execution modes and thread counts. 0 for non-simulated records.
+    wire_bits = total_wire_bits,
     /// Number of node steps the executor ran across all rounds
     /// (deterministic; see `dkc_distsim::RoundStats::node_updates`). Dense
     /// execution runs every non-halted node every round; the sparse frontier
     /// executor runs only the touched set — this counter is what the E12
-    /// frontier experiment gates on. 0 for centralized/ingestion records and
-    /// for records migrated from schema v1.
-    pub node_updates: usize,
+    /// frontier experiment gates on. 0 for centralized/ingestion records.
+    node_updates = total_node_updates,
     /// Copies dropped by the i.i.d. loss component of the run's
-    /// `FaultPlan` (deterministic; 0 for fault-free runs and for records
-    /// migrated from schema ≤ 2).
-    pub dropped_loss: usize,
+    /// `FaultPlan` (deterministic; 0 for fault-free runs).
+    dropped_loss = total_dropped_loss,
     /// Copies dropped inside burst-outage windows (deterministic).
-    pub dropped_burst: usize,
+    dropped_burst = total_dropped_burst,
     /// Copies dropped by partition cuts (deterministic).
-    pub dropped_partition: usize,
+    dropped_partition = total_dropped_partition,
     /// Copies dropped by byzantine senders selectively muting (deterministic;
-    /// 0 for byzantine-free runs and for records migrated from schema ≤ 4).
-    pub dropped_byzantine: usize,
+    /// 0 for byzantine-free runs).
+    dropped_byzantine = total_dropped_byzantine,
     /// Nodes crash-stopped by the end of the run (deterministic).
-    pub crashed_nodes: usize,
+    crashed_nodes = crashed_nodes,
     /// Byzantine accusation events accumulated over the run (deterministic;
     /// the pure hash schedule of `dkc_distsim::ByzantineModel`, identical
     /// across every execution mode).
-    pub byzantine_accusations: usize,
+    byzantine_accusations = byzantine_accusations,
     /// Nodes quarantined by the end of the run (deterministic).
-    pub quarantined_nodes: usize,
+    quarantined_nodes = quarantined_nodes,
     /// Total bits of the cross-shard `BoundaryDelta` frames a sharded run's
     /// cut-crossing copies fill (deterministic; 0 for unsharded, single-shard,
-    /// and non-simulated runs, and for records migrated from schema ≤ 5).
-    /// Frame overhead only — the delivered copies themselves are already in
-    /// `wire_bits`, identically to unsharded execution.
-    pub boundary_bits: usize,
+    /// and non-simulated runs). Frame overhead only — the delivered copies
+    /// themselves are already in `wire_bits`, identically to unsharded
+    /// execution.
+    boundary_bits = total_boundary_bits,
     /// Distinct boundary nodes that sent cross-shard messages, summed over
     /// rounds (deterministic; 0 whenever `boundary_bits` is 0).
-    pub boundary_nodes: usize,
-    /// Derived throughput: `total_messages / wall_clock` (non-deterministic,
-    /// 0 when no messages or no measurable time).
-    pub messages_per_sec: f64,
+    boundary_nodes = total_boundary_nodes,
 }
 
 impl ExperimentRecord {
@@ -163,33 +193,20 @@ impl ExperimentRecord {
         scale: impl Into<String>,
         metrics: &RunMetrics,
     ) -> Self {
-        ExperimentRecord {
-            experiment: experiment.into(),
-            workload: workload.into(),
-            scale: scale.into(),
-            wall_clock_ms: metrics.elapsed().as_secs_f64() * 1e3,
-            rounds: metrics.num_rounds(),
-            total_messages: metrics.total_messages(),
-            payload_bits: metrics.total_payload_bits(),
-            max_message_bits: metrics.max_message_bits(),
-            wire_bits: metrics.total_wire_bits(),
-            node_updates: metrics.total_node_updates(),
-            dropped_loss: metrics.total_dropped_loss(),
-            dropped_burst: metrics.total_dropped_burst(),
-            dropped_partition: metrics.total_dropped_partition(),
-            dropped_byzantine: metrics.total_dropped_byzantine(),
-            crashed_nodes: metrics.crashed_nodes(),
-            byzantine_accusations: metrics.byzantine_accusations(),
-            quarantined_nodes: metrics.quarantined_nodes(),
-            boundary_bits: metrics.total_boundary_bits(),
-            boundary_nodes: metrics.total_boundary_nodes(),
-            messages_per_sec: metrics.messages_per_sec(),
-        }
+        Self::with_counters(
+            experiment.into(),
+            workload.into(),
+            scale.into(),
+            metrics.elapsed().as_secs_f64() * 1e3,
+            Self::metric_counters(metrics),
+            metrics.messages_per_sec(),
+        )
     }
 
     /// Builds a record from bare round/message totals (for protocols that
     /// expose counts but not full metrics, e.g. the four-phase weak-densest
-    /// pipeline); bit counters stay zero.
+    /// pipeline, and for centralized computations with `total_messages` 0);
+    /// every other counter stays zero.
     pub fn from_counts(
         experiment: impl Into<String>,
         workload: impl Into<String>,
@@ -199,59 +216,16 @@ impl ExperimentRecord {
         total_messages: usize,
     ) -> Self {
         ExperimentRecord {
-            experiment: experiment.into(),
-            workload: workload.into(),
-            scale: scale.into(),
-            wall_clock_ms: wall.as_secs_f64() * 1e3,
             rounds,
             total_messages,
-            payload_bits: 0,
-            max_message_bits: 0,
-            wire_bits: 0,
-            node_updates: 0,
-            dropped_loss: 0,
-            dropped_burst: 0,
-            dropped_partition: 0,
-            dropped_byzantine: 0,
-            crashed_nodes: 0,
-            byzantine_accusations: 0,
-            quarantined_nodes: 0,
-            boundary_bits: 0,
-            boundary_nodes: 0,
-            messages_per_sec: derive_throughput(total_messages, wall),
-        }
-    }
-
-    /// Builds a record for a centralized (non-simulated) computation: real
-    /// wall-clock and round budget, zero communication counters.
-    pub fn centralized(
-        experiment: impl Into<String>,
-        workload: impl Into<String>,
-        scale: impl Into<String>,
-        wall: Duration,
-        rounds: usize,
-    ) -> Self {
-        ExperimentRecord {
-            experiment: experiment.into(),
-            workload: workload.into(),
-            scale: scale.into(),
-            wall_clock_ms: wall.as_secs_f64() * 1e3,
-            rounds,
-            total_messages: 0,
-            payload_bits: 0,
-            max_message_bits: 0,
-            wire_bits: 0,
-            node_updates: 0,
-            dropped_loss: 0,
-            dropped_burst: 0,
-            dropped_partition: 0,
-            dropped_byzantine: 0,
-            crashed_nodes: 0,
-            byzantine_accusations: 0,
-            quarantined_nodes: 0,
-            boundary_bits: 0,
-            boundary_nodes: 0,
-            messages_per_sec: 0.0,
+            ..Self::with_counters(
+                experiment.into(),
+                workload.into(),
+                scale.into(),
+                wall.as_secs_f64() * 1e3,
+                [0; NUM_COUNTERS],
+                derive_throughput(total_messages, wall),
+            )
         }
     }
 
@@ -271,6 +245,12 @@ impl ExperimentRecord {
         }
         Ok(())
     }
+
+    /// The `(experiment, workload, scale)` triple that identifies a record
+    /// within a report.
+    fn key(&self) -> (&str, &str, &str) {
+        (&self.experiment, &self.workload, &self.scale)
+    }
 }
 
 fn derive_throughput(total_messages: usize, wall: Duration) -> f64 {
@@ -284,26 +264,14 @@ fn derive_throughput(total_messages: usize, wall: Duration) -> f64 {
 
 impl Serialize for ExperimentRecord {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("ExperimentRecord", 20)?;
+        let mut s = serializer.serialize_struct("ExperimentRecord", NUM_COUNTERS + 5)?;
         s.serialize_field("experiment", &self.experiment)?;
         s.serialize_field("workload", &self.workload)?;
         s.serialize_field("scale", &self.scale)?;
         s.serialize_field("wall_clock_ms", &self.wall_clock_ms)?;
-        s.serialize_field("rounds", &self.rounds)?;
-        s.serialize_field("total_messages", &self.total_messages)?;
-        s.serialize_field("payload_bits", &self.payload_bits)?;
-        s.serialize_field("max_message_bits", &self.max_message_bits)?;
-        s.serialize_field("wire_bits", &self.wire_bits)?;
-        s.serialize_field("node_updates", &self.node_updates)?;
-        s.serialize_field("dropped_loss", &self.dropped_loss)?;
-        s.serialize_field("dropped_burst", &self.dropped_burst)?;
-        s.serialize_field("dropped_partition", &self.dropped_partition)?;
-        s.serialize_field("dropped_byzantine", &self.dropped_byzantine)?;
-        s.serialize_field("crashed_nodes", &self.crashed_nodes)?;
-        s.serialize_field("byzantine_accusations", &self.byzantine_accusations)?;
-        s.serialize_field("quarantined_nodes", &self.quarantined_nodes)?;
-        s.serialize_field("boundary_bits", &self.boundary_bits)?;
-        s.serialize_field("boundary_nodes", &self.boundary_nodes)?;
+        for (name, value) in Self::COUNTERS.into_iter().zip(self.counters()) {
+            s.serialize_field(name, &value)?;
+        }
         s.serialize_field("messages_per_sec", &self.messages_per_sec)?;
         s.end()
     }
@@ -320,8 +288,8 @@ pub struct Report {
     pub scale: String,
     /// Free-form provenance notes (e.g. `"resumed from checkpoint at round
     /// 12"`). Serialized only when non-empty, so reports without notes — and
-    /// every committed baseline — are byte-identical to plain v4 reports;
-    /// readers of any version ignore an absent `notes` array.
+    /// every committed baseline — carry no `notes` key; the reader treats an
+    /// absent `notes` array as empty.
     pub notes: Vec<String>,
     /// All measured runs, in execution order.
     pub records: Vec<ExperimentRecord>,
@@ -373,10 +341,10 @@ impl Report {
         if self.suite.is_empty() {
             return Err("empty suite name".into());
         }
-        let mut keys = std::collections::HashSet::new();
+        let mut keys = HashSet::new();
         for r in &self.records {
             r.validate()?;
-            if !keys.insert((r.experiment.as_str(), r.workload.as_str(), r.scale.as_str())) {
+            if !keys.insert(r.key()) {
                 return Err(format!(
                     "duplicate record key ({}, {}, {}) — workload labels must disambiguate \
                      repeated runs (e.g. include the epsilon)",
@@ -387,6 +355,36 @@ impl Report {
         Ok(())
     }
 
+    /// The baseline gate: compares this report's deterministic counters with
+    /// `baseline`'s and returns one line per failure — a baseline record this
+    /// report lacks, a record whose counters drifted (naming each drifted
+    /// counter), or a record the baseline lacks. Empty means the gate passes;
+    /// the timing fields are never compared.
+    pub fn check_against(&self, baseline: &Report) -> Vec<String> {
+        let ours: BTreeMap<_, _> = self.records.iter().map(|r| (r.key(), r)).collect();
+        let theirs: BTreeMap<_, _> = baseline.records.iter().map(|r| (r.key(), r)).collect();
+        let mut failures = Vec::new();
+        for (key, expected) in &theirs {
+            let Some(got) = ours.get(key) else {
+                failures.push(format!("missing record {key:?} (the baseline has it)"));
+                continue;
+            };
+            let drift: Vec<String> = ExperimentRecord::COUNTERS
+                .iter()
+                .zip(expected.counters().into_iter().zip(got.counters()))
+                .filter(|(_, (e, g))| e != g)
+                .map(|(name, (e, g))| format!("{name}: {e} -> {g}"))
+                .collect();
+            if !drift.is_empty() {
+                failures.push(format!("counter drift in {key:?}: {}", drift.join(", ")));
+            }
+        }
+        let extra = ours.keys().filter(|k| !theirs.contains_key(*k));
+        failures
+            .extend(extra.map(|k| format!("unexpected new record {k:?} (update the baseline)")));
+        failures
+    }
+
     /// Pretty-printed JSON (trailing newline included: the file is meant to
     /// be committed as a baseline).
     pub fn to_json(&self) -> String {
@@ -395,45 +393,46 @@ impl Report {
         s
     }
 
-    /// Parses and validates a JSON report. Reports written with schema
-    /// version 1 are upgraded in memory: their records' missing
-    /// `node_updates` defaults to 0 and the report's `schema_version` becomes
-    /// the current [`SCHEMA_VERSION`] (see the module docs on migration).
+    /// Parses and validates a schema-v6 JSON report. A malformed report is
+    /// rejected with every missing or ill-typed field of every record listed
+    /// in one error, not just the first.
     pub fn from_json(text: &str) -> Result<Report, String> {
         let value = serde_json::from_str(text).map_err(|e| format!("invalid JSON: {e}"))?;
-        let version = field_u64(&value, "schema_version")?;
-        if !(MIN_SUPPORTED_SCHEMA_VERSION..=SCHEMA_VERSION).contains(&version) {
-            return Err(format!(
-                "unsupported schema_version {version} \
-                 (supported: {MIN_SUPPORTED_SCHEMA_VERSION}..={SCHEMA_VERSION})"
-            ));
+        match value.get("schema_version").and_then(Value::as_u64) {
+            Some(SCHEMA_VERSION) => {}
+            Some(v) => {
+                return Err(format!(
+                    "unsupported schema_version {v} (only v{SCHEMA_VERSION} is read)"
+                ))
+            }
+            None => return Err("missing or non-integer field 'schema_version'".into()),
         }
+        let mut problems = Vec::new();
+        let p = &mut problems;
+        let suite = field(p, &value, "", "field", "suite", Value::as_str);
+        let scale = field(p, &value, "", "field", "scale", Value::as_str);
+        // Optional: absent means "no notes".
+        let notes = match value.get("notes") {
+            None => Some(Vec::new()),
+            Some(_) => field(p, &value, "", "field", "notes", |n| {
+                n.as_array()?.iter().map(Value::as_str).collect()
+            }),
+        };
+        let records = field(p, &value, "", "field", "records", Value::as_array);
+        let records: Vec<_> = (records.unwrap_or_default().iter().enumerate())
+            .filter_map(|(i, v)| record(p, i, v))
+            .collect();
+        let (Some(suite), Some(scale), Some(notes), true) = (suite, scale, notes, p.is_empty())
+        else {
+            let list = problems.join("\n  - ");
+            return Err(format!("{} problem(s):\n  - {list}", problems.len()));
+        };
         let report = Report {
             schema_version: SCHEMA_VERSION,
-            suite: field_str(&value, "suite")?,
-            scale: field_str(&value, "scale")?,
-            // Optional in every version: absent means "no notes".
-            notes: match value.get("notes") {
-                None => Vec::new(),
-                Some(v) => v
-                    .as_array()
-                    .ok_or("field \"notes\" must be an array of strings")?
-                    .iter()
-                    .map(|n| {
-                        n.as_str()
-                            .map(str::to_string)
-                            .ok_or_else(|| "field \"notes\" must contain only strings".to_string())
-                    })
-                    .collect::<Result<_, _>>()?,
-            },
-            records: value
-                .get("records")
-                .and_then(Value::as_array)
-                .ok_or("missing records array")?
-                .iter()
-                .enumerate()
-                .map(|(i, v)| record_from_value(v, version).map_err(|e| format!("record {i}: {e}")))
-                .collect::<Result<_, _>>()?,
+            suite: suite.into(),
+            scale: scale.into(),
+            notes: notes.into_iter().map(String::from).collect(),
+            records,
         };
         report.validate()?;
         Ok(report)
@@ -468,76 +467,49 @@ impl Serialize for Report {
     }
 }
 
-fn field_u64(v: &Value, key: &str) -> Result<u64, String> {
-    v.get(key)
-        .and_then(Value::as_u64)
-        .ok_or_else(|| format!("missing or non-integer field {key:?}"))
-}
-
-fn field_usize(v: &Value, key: &str) -> Result<usize, String> {
-    field_u64(v, key).map(|x| x as usize)
-}
-
-fn field_f64(v: &Value, key: &str) -> Result<f64, String> {
-    v.get(key)
-        .and_then(Value::as_f64)
-        .ok_or_else(|| format!("missing or non-numeric field {key:?}"))
-}
-
-fn field_str(v: &Value, key: &str) -> Result<String, String> {
-    v.get(key)
-        .and_then(Value::as_str)
-        .map(str::to_string)
-        .ok_or_else(|| format!("missing or non-string field {key:?}"))
-}
-
-fn record_from_value(v: &Value, schema_version: u64) -> Result<ExperimentRecord, String> {
-    Ok(ExperimentRecord {
-        experiment: field_str(v, "experiment")?,
-        workload: field_str(v, "workload")?,
-        scale: field_str(v, "scale")?,
-        wall_clock_ms: field_f64(v, "wall_clock_ms")?,
-        rounds: field_usize(v, "rounds")?,
-        total_messages: field_usize(v, "total_messages")?,
-        payload_bits: field_usize(v, "payload_bits")?,
-        max_message_bits: field_usize(v, "max_message_bits")?,
-        // The measured wire counter arrived in v4; older reports default to 0.
-        wire_bits: field_usize_since(v, "wire_bits", schema_version, 4)?,
-        // v1 predates the counter; v2 and later require it.
-        node_updates: if schema_version >= 2 {
-            field_usize(v, "node_updates")?
-        } else {
-            v.get("node_updates").and_then(Value::as_u64).unwrap_or(0) as usize
-        },
-        // The fault counters arrived in v3; older reports default them to 0.
-        dropped_loss: field_usize_since(v, "dropped_loss", schema_version, 3)?,
-        dropped_burst: field_usize_since(v, "dropped_burst", schema_version, 3)?,
-        dropped_partition: field_usize_since(v, "dropped_partition", schema_version, 3)?,
-        // The byzantine counters arrived in v5; older reports default to 0.
-        dropped_byzantine: field_usize_since(v, "dropped_byzantine", schema_version, 5)?,
-        crashed_nodes: field_usize_since(v, "crashed_nodes", schema_version, 3)?,
-        byzantine_accusations: field_usize_since(v, "byzantine_accusations", schema_version, 5)?,
-        quarantined_nodes: field_usize_since(v, "quarantined_nodes", schema_version, 5)?,
-        // The sharding counters arrived in v6; older reports default to 0.
-        boundary_bits: field_usize_since(v, "boundary_bits", schema_version, 6)?,
-        boundary_nodes: field_usize_since(v, "boundary_nodes", schema_version, 6)?,
-        messages_per_sec: field_f64(v, "messages_per_sec")?,
-    })
-}
-
-/// A counter that became mandatory in schema version `since`: required at or
-/// above it, defaulting to 0 (while still read if present) below it.
-fn field_usize_since(
-    v: &Value,
+/// Reads `key` of `v` with `read`; a missing or ill-typed field is recorded
+/// in `problems` (prefixed with `at`) and read as `None`, so that
+/// [`Report::from_json`] lists every problem of a report, not just the first.
+fn field<'v, T>(
+    problems: &mut Vec<String>,
+    v: &'v Value,
+    at: &str,
+    kind: &str,
     key: &str,
-    schema_version: u64,
-    since: u64,
-) -> Result<usize, String> {
-    if schema_version >= since {
-        field_usize(v, key)
-    } else {
-        Ok(v.get(key).and_then(Value::as_u64).unwrap_or(0) as usize)
+    read: impl Fn(&'v Value) -> Option<T>,
+) -> Option<T> {
+    let found = v.get(key).map(read);
+    match found {
+        None => problems.push(format!("{at}missing {kind} '{key}'")),
+        Some(None) => problems.push(format!("{at}{kind} '{key}' has the wrong type")),
+        Some(Some(_)) => {}
     }
+    found.flatten()
+}
+
+/// Reads record `i` of a report, or records its problems and returns `None`.
+fn record(problems: &mut Vec<String>, i: usize, v: &Value) -> Option<ExperimentRecord> {
+    let before = problems.len();
+    let at = format!("record {i}: ");
+    let [experiment, workload, scale] = ["experiment", "workload", "scale"]
+        .map(|key| field(problems, v, &at, "identity field", key, Value::as_str));
+    let at = match (experiment, workload, scale) {
+        (Some(e), Some(w), Some(s)) => format!("record {i} {:?}: ", (e, w, s)),
+        _ => at,
+    };
+    let [wall_clock_ms, messages_per_sec] = ["wall_clock_ms", "messages_per_sec"]
+        .map(|key| field(problems, v, &at, "field", key, Value::as_f64));
+    let counters = ExperimentRecord::COUNTERS
+        .map(|key| field(problems, v, &at, "counter", key, Value::as_u64).unwrap_or(0) as usize);
+    (problems.len() == before).then_some(())?;
+    Some(ExperimentRecord::with_counters(
+        experiment?.into(),
+        workload?.into(),
+        scale?.into(),
+        wall_clock_ms?,
+        counters,
+        messages_per_sec?,
+    ))
 }
 
 #[cfg(test)]
@@ -569,7 +541,7 @@ mod tests {
                 boundary_nodes: 6,
                 messages_per_sec: 3.2e7,
             },
-            ExperimentRecord::centralized("E2", "grid", "tiny", Duration::from_micros(1500), 17),
+            ExperimentRecord::from_counts("E2", "grid", "tiny", Duration::from_micros(1500), 17, 0),
         ]);
         report
     }
@@ -615,167 +587,102 @@ mod tests {
         assert!(err.contains("rounds"), "{err}");
     }
 
-    /// Strips every line mentioning one of `fields` from a report's JSON.
-    fn strip_fields(json: &str, fields: &[&str]) -> String {
-        json.lines()
-            .filter(|l| !fields.iter().any(|f| l.contains(f)))
-            .collect::<Vec<_>>()
-            .join("\n")
-    }
-
-    const FAULT_COUNTERS: [&str; 4] = [
-        "dropped_loss",
-        "dropped_burst",
-        "dropped_partition",
-        "crashed_nodes",
-    ];
-
-    const BYZANTINE_COUNTERS: [&str; 3] = [
-        "dropped_byzantine",
-        "byzantine_accusations",
-        "quarantined_nodes",
-    ];
-
-    const SHARDING_COUNTERS: [&str; 2] = ["boundary_bits", "boundary_nodes"];
-
     #[test]
-    fn v1_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v1 report: no node_updates, no fault counters,
-        // no wire_bits, no byzantine counters, no sharding counters anywhere.
-        let v1 = strip_fields(
+    fn only_schema_v6_is_read() {
+        for old in [1, 5] {
+            let json = sample_report().to_json().replace(
+                "\"schema_version\": 6",
+                &format!("\"schema_version\": {old}"),
+            );
+            let err = Report::from_json(&json).unwrap_err();
+            assert!(err.contains(&format!("schema_version {old}")), "{err}");
+        }
+        let err = Report::from_json(
             &sample_report()
                 .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 1"),
-            &["node_updates", "wire_bits"],
-        );
-        let v1 = strip_fields(&v1, &FAULT_COUNTERS);
-        let v1 = strip_fields(&v1, &BYZANTINE_COUNTERS);
-        let v1 = strip_fields(&v1, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v1).expect("v1 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert!(parsed.records.iter().all(|r| r.node_updates == 0));
-        assert!(parsed.records.iter().all(|r| r.wire_bits == 0));
-        assert!(parsed.records.iter().all(|r| r.dropped_loss == 0
-            && r.dropped_burst == 0
-            && r.dropped_partition == 0
-            && r.dropped_byzantine == 0
-            && r.crashed_nodes == 0
-            && r.byzantine_accusations == 0
-            && r.quarantined_nodes == 0
-            && r.boundary_bits == 0
-            && r.boundary_nodes == 0));
-        // Re-serializing emits the current schema with the fields present.
-        let rewritten = parsed.to_json();
-        assert!(rewritten.contains("\"schema_version\": 6"));
-        assert!(rewritten.contains("\"node_updates\": 0"));
-        assert!(rewritten.contains("\"dropped_loss\": 0"));
-        assert!(rewritten.contains("\"wire_bits\": 0"));
-        assert!(rewritten.contains("\"dropped_byzantine\": 0"));
-        assert!(rewritten.contains("\"boundary_bits\": 0"));
-        // In a v2-or-later report, node_updates is mandatory.
-        let v2_missing = strip_fields(&sample_report().to_json(), &["node_updates"]);
-        let err = Report::from_json(&v2_missing).unwrap_err();
-        assert!(err.contains("node_updates"), "{err}");
+                .replace("\"schema_version\": 6", "\"schema_version\": true"),
+        )
+        .unwrap_err();
+        assert!(err.contains("schema_version"), "{err}");
     }
 
     #[test]
-    fn v2_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v2 report: node_updates present; fault
-        // counters, wire_bits, byzantine and sharding counters absent.
-        let v2 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 2"),
-            &FAULT_COUNTERS,
-        );
-        let v2 = strip_fields(&v2, &["wire_bits"]);
-        let v2 = strip_fields(&v2, &BYZANTINE_COUNTERS);
-        let v2 = strip_fields(&v2, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v2).expect("v2 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].node_updates, 42_000, "v2 fields kept");
-        assert!(parsed.records.iter().all(|r| r.dropped_loss == 0
-            && r.dropped_burst == 0
-            && r.dropped_partition == 0
-            && r.crashed_nodes == 0));
-        // In a v3-or-later report every fault counter is mandatory.
-        for counter in FAULT_COUNTERS {
-            let missing = strip_fields(&sample_report().to_json(), &[counter]);
-            let err = Report::from_json(&missing).unwrap_err();
-            assert!(err.contains(counter), "{counter}: {err}");
+    fn from_json_lists_every_missing_or_ill_typed_field() {
+        let json = sample_report()
+            .to_json()
+            .replacen("\"node_updates\": 42000,\n", "", 1)
+            .replacen("\"wall_clock_ms\": 12.25", "\"wall_clock_ms\": \"fast\"", 1)
+            .replacen("\"workload\": \"grid\",\n", "", 1)
+            .replacen("\"rounds\": 17", "\"rounds\": \"17\"", 1)
+            .replacen("\"suite\": \"exp_demo\"", "\"suite\": 3", 1);
+        let err = Report::from_json(&json).unwrap_err();
+        for expected in [
+            "5 problem(s)",
+            "field 'suite' has the wrong type",
+            "record 0 (\"E9\", \"ba-2000-seq\", \"tiny\"): missing counter 'node_updates'",
+            "field 'wall_clock_ms' has the wrong type",
+            "record 1: missing identity field 'workload'",
+            "record 1: counter 'rounds' has the wrong type",
+        ] {
+            assert!(err.contains(expected), "{expected:?} not in:\n{err}");
         }
     }
 
-    #[test]
-    fn v3_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v3 report: everything but wire_bits, the
-        // byzantine counters, and the sharding counters present.
-        let v3 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 3"),
-            &["wire_bits"],
-        );
-        let v3 = strip_fields(&v3, &BYZANTINE_COUNTERS);
-        let v3 = strip_fields(&v3, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v3).expect("v3 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].dropped_loss, 120, "v3 fields kept");
-        assert!(parsed.records.iter().all(|r| r.wire_bits == 0));
-        // In a v4-or-later report the measured wire counter is mandatory.
-        let missing = strip_fields(&sample_report().to_json(), &["wire_bits"]);
-        let err = Report::from_json(&missing).unwrap_err();
-        assert!(err.contains("wire_bits"), "{err}");
-    }
-
-    #[test]
-    fn v4_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v4 report: everything but the byzantine and
-        // sharding counters present.
-        let v4 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 4"),
-            &BYZANTINE_COUNTERS,
-        );
-        let v4 = strip_fields(&v4, &SHARDING_COUNTERS);
-        let parsed = Report::from_json(&v4).expect("v4 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].wire_bits, 26_803_200, "v4 fields kept");
-        assert!(parsed.records.iter().all(|r| r.dropped_byzantine == 0
-            && r.byzantine_accusations == 0
-            && r.quarantined_nodes == 0));
-        // In a v5-or-later report every byzantine counter is mandatory.
-        for counter in BYZANTINE_COUNTERS {
-            let missing = strip_fields(&sample_report().to_json(), &[counter]);
-            let err = Report::from_json(&missing).unwrap_err();
-            assert!(err.contains(counter), "{counter}: {err}");
-        }
-    }
-
-    #[test]
-    fn v5_reports_migrate_to_v6_on_read() {
-        // Simulate a committed v5 report: everything but the sharding
-        // counters present.
-        let v5 = strip_fields(
-            &sample_report()
-                .to_json()
-                .replace("\"schema_version\": 6", "\"schema_version\": 5"),
-            &SHARDING_COUNTERS,
-        );
-        let parsed = Report::from_json(&v5).expect("v5 reports must still parse");
-        assert_eq!(parsed.schema_version, SCHEMA_VERSION, "upgraded in memory");
-        assert_eq!(parsed.records[0].byzantine_accusations, 9, "v5 fields kept");
-        assert!(parsed
-            .records
+    /// `report` with the first value of `counter` raised by one.
+    fn bump(report: &Report, counter: &str) -> Report {
+        let mut record = report.records[0].clone();
+        let i = ExperimentRecord::COUNTERS
             .iter()
-            .all(|r| r.boundary_bits == 0 && r.boundary_nodes == 0));
-        // In a v6 report both sharding counters are mandatory.
-        for counter in SHARDING_COUNTERS {
-            let missing = strip_fields(&sample_report().to_json(), &[counter]);
-            let err = Report::from_json(&missing).unwrap_err();
-            assert!(err.contains(counter), "{counter}: {err}");
+            .position(|c| *c == counter)
+            .unwrap();
+        let mut counters = record.counters();
+        counters[i] += 1;
+        record = ExperimentRecord::with_counters(
+            record.experiment,
+            record.workload,
+            record.scale,
+            record.wall_clock_ms,
+            counters,
+            record.messages_per_sec,
+        );
+        let mut bumped = report.clone();
+        bumped.records[0] = record;
+        bumped
+    }
+
+    #[test]
+    fn gate_names_every_drifted_counter_and_ignores_timings() {
+        let baseline = sample_report();
+        let mut retimed = baseline.clone();
+        retimed.records[0].wall_clock_ms = 99.0;
+        retimed.records[0].messages_per_sec = 1.0;
+        assert_eq!(retimed.check_against(&baseline), Vec::<String>::new());
+        for (counter, before) in ExperimentRecord::COUNTERS
+            .into_iter()
+            .zip(baseline.records[0].counters())
+        {
+            let failures = bump(&baseline, counter).check_against(&baseline);
+            let expected = format!(
+                "counter drift in (\"E9\", \"ba-2000-seq\", \"tiny\"): {counter}: {before} -> {}",
+                before + 1
+            );
+            assert_eq!(failures, vec![expected]);
         }
+    }
+
+    #[test]
+    fn gate_reports_missing_and_unexpected_records() {
+        let baseline = sample_report();
+        let mut report = baseline.clone();
+        report.records[1].workload = "mesh".into();
+        assert_eq!(
+            report.check_against(&baseline),
+            vec![
+                "missing record (\"E2\", \"grid\", \"tiny\") (the baseline has it)".to_string(),
+                "unexpected new record (\"E2\", \"mesh\", \"tiny\") (update the baseline)"
+                    .to_string(),
+            ]
+        );
     }
 
     #[test]

@@ -6,8 +6,8 @@
 //! (`crates/bench/src/experiments.rs`) — all on the dkc-lint D02 allowlist.
 //! Those readings may only ever reach the two timing fields of an
 //! [`ExperimentRecord`] (`wall_clock_ms`, `messages_per_sec`), never the
-//! fifteen deterministic counters `scripts/check_bench.sh` gates on. These
-//! tests pin both halves of that contract.
+//! fifteen deterministic counters `dkc-bench check` gates on. These tests pin
+//! both halves of that contract.
 
 use dkc_bench::report::ExperimentRecord;
 use dkc_distsim::{RoundStats, RunMetrics};
@@ -44,22 +44,8 @@ fn elapsed_time_only_reaches_the_timing_fields() {
     let a = ExperimentRecord::from_metrics("E1", "w", "tiny", &fast);
     let b = ExperimentRecord::from_metrics("E1", "w", "tiny", &slow);
 
-    // Every check_bench.sh-gated counter is identical across the two runs…
-    assert_eq!(a.rounds, b.rounds);
-    assert_eq!(a.total_messages, b.total_messages);
-    assert_eq!(a.payload_bits, b.payload_bits);
-    assert_eq!(a.max_message_bits, b.max_message_bits);
-    assert_eq!(a.wire_bits, b.wire_bits);
-    assert_eq!(a.node_updates, b.node_updates);
-    assert_eq!(a.dropped_loss, b.dropped_loss);
-    assert_eq!(a.dropped_burst, b.dropped_burst);
-    assert_eq!(a.dropped_partition, b.dropped_partition);
-    assert_eq!(a.dropped_byzantine, b.dropped_byzantine);
-    assert_eq!(a.crashed_nodes, b.crashed_nodes);
-    assert_eq!(a.byzantine_accusations, b.byzantine_accusations);
-    assert_eq!(a.quarantined_nodes, b.quarantined_nodes);
-    assert_eq!(a.boundary_bits, b.boundary_bits);
-    assert_eq!(a.boundary_nodes, b.boundary_nodes);
+    // Every gated counter is identical across the two runs…
+    assert_eq!(a.counters(), b.counters());
 
     // …and the wall clock moved only the two timing fields.
     assert!((a.wall_clock_ms - 10.0).abs() < 1e-9);
@@ -94,16 +80,8 @@ fn elapsed_time_only_reaches_the_timing_fields() {
 
 #[test]
 fn check_bench_gates_exactly_the_deterministic_counters() {
-    let script_path = concat!(env!("CARGO_MANIFEST_DIR"), "/../../scripts/check_bench.sh");
-    let script = std::fs::read_to_string(script_path).unwrap();
-
-    // Extract the COUNTERS tuple literal from the embedded python.
-    let start = script
-        .find("COUNTERS = (")
-        .expect("check_bench.sh must declare its COUNTERS tuple");
-    let tuple = &script[start..start + script[start..].find(')').unwrap()];
-    let gated: Vec<&str> = tuple.split('"').skip(1).step_by(2).collect();
-
+    // The gate (`Report::check_against`) compares `counters()`, named by
+    // `COUNTERS`: both come from the one counter table in report.rs.
     let deterministic = [
         "rounds",
         "total_messages",
@@ -122,11 +100,40 @@ fn check_bench_gates_exactly_the_deterministic_counters() {
         "boundary_nodes",
     ];
     assert_eq!(
-        gated, deterministic,
-        "check_bench.sh must gate exactly the deterministic counters"
+        ExperimentRecord::COUNTERS,
+        deterministic,
+        "the gate must compare exactly the deterministic counters"
     );
     assert!(
-        !gated.contains(&"wall_clock_ms") && !gated.contains(&"messages_per_sec"),
+        !ExperimentRecord::COUNTERS.contains(&"wall_clock_ms")
+            && !ExperimentRecord::COUNTERS.contains(&"messages_per_sec"),
         "timing fields must never be gated"
+    );
+    let record = ExperimentRecord::from_metrics(
+        "E1",
+        "w",
+        "tiny",
+        &RunMetrics::from_parts(vec![busy_round(1)], Duration::from_millis(5)),
+    );
+    assert_eq!(
+        record.counters(),
+        [
+            record.rounds,
+            record.total_messages,
+            record.payload_bits,
+            record.max_message_bits,
+            record.wire_bits,
+            record.node_updates,
+            record.dropped_loss,
+            record.dropped_burst,
+            record.dropped_partition,
+            record.dropped_byzantine,
+            record.crashed_nodes,
+            record.byzantine_accusations,
+            record.quarantined_nodes,
+            record.boundary_bits,
+            record.boundary_nodes,
+        ],
+        "counters() must return the fields COUNTERS names, in that order"
     );
 }

@@ -748,13 +748,7 @@ mod tests {
         let reference = dkc_bench::Report::read_from(&ref_json).unwrap();
         let resumed = dkc_bench::Report::read_from(&res_json).unwrap();
         let (a, b) = (&reference.records[0], &resumed.records[0]);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.total_messages, b.total_messages);
-        assert_eq!(a.wire_bits, b.wire_bits);
-        assert_eq!(a.node_updates, b.node_updates);
-        assert_eq!(a.dropped_loss, b.dropped_loss);
-        assert_eq!(a.boundary_bits, b.boundary_bits);
-        assert_eq!(a.boundary_nodes, b.boundary_nodes);
+        assert_eq!(a.counters(), b.counters());
         assert!(
             a.boundary_bits > 0,
             "3 shards must exchange boundary frames"
@@ -1013,16 +1007,7 @@ mod tests {
         let reference = dkc_bench::Report::read_from(&ref_json).unwrap();
         let resumed = dkc_bench::Report::read_from(&res_json).unwrap();
         let (a, b) = (&reference.records[0], &resumed.records[0]);
-        assert_eq!(a.rounds, b.rounds);
-        assert_eq!(a.total_messages, b.total_messages);
-        assert_eq!(a.payload_bits, b.payload_bits);
-        assert_eq!(a.max_message_bits, b.max_message_bits);
-        assert_eq!(a.wire_bits, b.wire_bits);
-        assert_eq!(a.node_updates, b.node_updates);
-        assert_eq!(a.dropped_loss, b.dropped_loss);
-        assert_eq!(a.dropped_burst, b.dropped_burst);
-        assert_eq!(a.dropped_partition, b.dropped_partition);
-        assert_eq!(a.crashed_nodes, b.crashed_nodes);
+        assert_eq!(a.counters(), b.counters());
         // The resumed report carries a provenance note; the reference does not.
         assert!(reference.notes.is_empty());
         assert!(

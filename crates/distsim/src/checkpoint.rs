@@ -402,49 +402,21 @@ pub fn validate_plan(plan: &FaultPlan) -> Result<(), CheckpointError> {
 
 impl Serialize for RoundStats {
     fn serialize<S: Serializer>(&self, serializer: S) -> Result<S::Ok, S::Error> {
-        let mut s = serializer.serialize_struct("RoundStats", 17)?;
-        s.serialize_field("round", &self.round)?;
-        s.serialize_field("messages", &self.messages)?;
-        s.serialize_field("payload_bits", &self.payload_bits)?;
-        s.serialize_field("wire_bits", &self.wire_bits)?;
-        s.serialize_field("max_message_bits", &self.max_message_bits)?;
-        s.serialize_field("sending_nodes", &self.sending_nodes)?;
-        s.serialize_field("changed_nodes", &self.changed_nodes)?;
-        s.serialize_field("node_updates", &self.node_updates)?;
-        s.serialize_field("dropped_loss", &self.dropped_loss)?;
-        s.serialize_field("dropped_burst", &self.dropped_burst)?;
-        s.serialize_field("dropped_partition", &self.dropped_partition)?;
-        s.serialize_field("dropped_byzantine", &self.dropped_byzantine)?;
-        s.serialize_field("crashed_nodes", &self.crashed_nodes)?;
-        s.serialize_field("byzantine_accusations", &self.byzantine_accusations)?;
-        s.serialize_field("quarantined_nodes", &self.quarantined_nodes)?;
-        s.serialize_field("boundary_bits", &self.boundary_bits)?;
-        s.serialize_field("boundary_nodes", &self.boundary_nodes)?;
+        let mut s = serializer.serialize_struct("RoundStats", RoundStats::FIELDS.len())?;
+        for (name, value) in RoundStats::FIELDS.into_iter().zip(self.to_array()) {
+            s.serialize_field(name, &value)?;
+        }
         s.end()
     }
 }
 
 impl WireCodec for RoundStats {
     fn decode(r: &mut WireReader<'_>) -> Result<Self, WireError> {
-        Ok(RoundStats {
-            round: usize::decode(r)?,
-            messages: usize::decode(r)?,
-            payload_bits: usize::decode(r)?,
-            wire_bits: usize::decode(r)?,
-            max_message_bits: usize::decode(r)?,
-            sending_nodes: usize::decode(r)?,
-            changed_nodes: usize::decode(r)?,
-            node_updates: usize::decode(r)?,
-            dropped_loss: usize::decode(r)?,
-            dropped_burst: usize::decode(r)?,
-            dropped_partition: usize::decode(r)?,
-            dropped_byzantine: usize::decode(r)?,
-            crashed_nodes: usize::decode(r)?,
-            byzantine_accusations: usize::decode(r)?,
-            quarantined_nodes: usize::decode(r)?,
-            boundary_bits: usize::decode(r)?,
-            boundary_nodes: usize::decode(r)?,
-        })
+        let mut fields = [0; RoundStats::FIELDS.len()];
+        for field in &mut fields {
+            *field = usize::decode(r)?;
+        }
+        Ok(RoundStats::from_array(fields))
     }
 }
 

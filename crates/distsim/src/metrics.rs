@@ -2,6 +2,38 @@
 
 use std::time::Duration;
 
+/// Declares a struct of `usize` counters from one field list, with the
+/// field names and values as arrays in declaration order: the checkpoint
+/// codec (`crate::checkpoint`) encodes and decodes [`RoundStats`] through
+/// them, so the struct's field list is the only one.
+macro_rules! usize_fields {
+    ($(#[$attr:meta])* pub struct $ty:ident {
+        $($(#[doc = $doc:literal])* pub $name:ident: usize,)*
+    }) => {
+        $(#[$attr])*
+        pub struct $ty {
+            $($(#[doc = $doc])* pub $name: usize,)*
+        }
+
+        impl $ty {
+            /// The field names, in declaration order.
+            pub(crate) const FIELDS: [&'static str; [$(stringify!($name)),*].len()] =
+                [$(stringify!($name)),*];
+
+            /// The field values, in [`Self::FIELDS`] order.
+            pub(crate) fn to_array(self) -> [usize; Self::FIELDS.len()] {
+                [$(self.$name),*]
+            }
+
+            /// Inverse of [`Self::to_array`].
+            pub(crate) fn from_array([$($name),*]: [usize; Self::FIELDS.len()]) -> Self {
+                $ty { $($name),* }
+            }
+        }
+    };
+}
+
+usize_fields! {
 /// Statistics for one synchronous round.
 ///
 /// All counters reflect **delivered** communication: under a
@@ -74,6 +106,7 @@ pub struct RoundStats {
     /// this round (frontier ∩ boundary set, counted once per sender even when
     /// it ships to several peer shards). Zero outside sharded execution.
     pub boundary_nodes: usize,
+}
 }
 
 /// Accumulated statistics for a full protocol run.

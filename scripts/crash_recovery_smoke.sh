@@ -11,7 +11,7 @@
 #    process mid-run (asserting the run did NOT finish: its report file must
 #    not exist).
 # 3. Resumes from the checkpoint with `--resume` and diffs the resumed
-#    report against the reference via scripts/check_bench.sh: every
+#    report against the reference via `dkc-bench check`: every
 #    deterministic counter (rounds, messages, payload/wire bits, node
 #    updates, all four fault-drop counters) must be byte-identical.
 #
@@ -21,8 +21,9 @@ set -euo pipefail
 cd "$(dirname "$0")/.."
 
 DKC=target/release/dkc
-if [[ ! -x "$DKC" ]]; then
-    echo "crash_recovery_smoke: $DKC not built (run: cargo build --release)" >&2
+GATE=target/release/dkc-bench
+if [[ ! -x "$DKC" || ! -x "$GATE" ]]; then
+    echo "crash_recovery_smoke: $DKC or $GATE not built (run: cargo build --release)" >&2
     exit 2
 fi
 
@@ -77,5 +78,5 @@ fi
 grep "resumed from checkpoint at round" <<<"$out"
 
 echo "crash_recovery_smoke: diffing deterministic counters (resumed vs reference)"
-scripts/check_bench.sh "$resumed" "$ref"
+"$GATE" check "$resumed" "$ref"
 echo "crash_recovery_smoke: OK — killed run resumed byte-identically"

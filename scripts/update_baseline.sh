@@ -5,66 +5,17 @@
 #
 #   scripts/update_baseline.sh    # rewrites bench/baselines/{tiny,ingest-tiny,frontier-tiny,faults-tiny,byzantine-tiny,sharding-tiny}.json
 #
-# Each report is generated to a temporary file and VERIFIED to parse as the
-# current report schema (v6, with every mandatory counter present) before it
-# replaces the committed baseline — a producer bug can never clobber a good
-# baseline with a malformed one. The machine-dependent timing fields
-# (wall_clock_ms, messages_per_sec) are zeroed before committing —
-# scripts/check_bench.sh ignores them anyway, and zeroing keeps regeneration
-# diffs limited to the counters that actually changed.
+# Each report is produced into a temporary file and installed with
+# `dkc-bench update`, which validates it as a schema-v6 report (a producer
+# bug never clobbers a good baseline with a malformed one), zeroes the
+# machine-dependent timing fields so regeneration diffs show only the
+# counters that changed, and replaces the baseline atomically.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-# verify_and_zero <report.json>: schema-v6 validation + timing zeroing in one
-# pass; exits non-zero (leaving the committed baseline untouched) on any
-# missing mandatory counter or header field.
-verify_and_zero() {
-    python3 - "$1" <<'PY'
-import json
-import sys
-
-path = sys.argv[1]
-COUNTERS = ("rounds", "total_messages", "payload_bits", "max_message_bits",
-            "wire_bits", "node_updates", "dropped_loss", "dropped_burst",
-            "dropped_partition", "dropped_byzantine", "crashed_nodes",
-            "byzantine_accusations", "quarantined_nodes", "boundary_bits",
-            "boundary_nodes")
-with open(path) as fh:
-    try:
-        doc = json.load(fh)
-    except json.JSONDecodeError as e:
-        sys.exit(f"update_baseline: {path}: invalid JSON: {e}")
-version = doc.get("schema_version")
-if version != 6:
-    sys.exit(f"update_baseline: {path}: expected schema_version 6, "
-             f"got {version!r} — refusing to install as a baseline")
-for field in ("suite", "scale"):
-    if not isinstance(doc.get(field), str) or not doc[field]:
-        sys.exit(f"update_baseline: {path}: missing header field {field!r}")
-recs = doc.get("records")
-if not isinstance(recs, list) or not recs:
-    sys.exit(f"update_baseline: {path}: missing or empty \"records\"")
-problems = []
-for i, rec in enumerate(recs):
-    for k in ("experiment", "workload", "scale"):
-        if k not in rec:
-            problems.append(f"record {i}: missing identity field {k!r}")
-    for c in COUNTERS:
-        if c not in rec:
-            problems.append(f"record {i}: missing counter {c!r}")
-    rec["wall_clock_ms"] = 0.0
-    rec["messages_per_sec"] = 0.0
-if problems:
-    for p in problems:
-        print(f"update_baseline: {path}: {p}", file=sys.stderr)
-    sys.exit(1)
-with open(path, "w") as fh:
-    json.dump(doc, fh, indent=2)
-    fh.write("\n")
-print(f"update_baseline: verified schema v6 and zeroed timings in "
-      f"{len(recs)} records")
-PY
-}
+cargo build --release -p dkc-bench
+report=$(mktemp)
+trap 'rm -f "$report"' EXIT
 
 # (producer binary, committed baseline) pairs — one loop regenerates all six.
 pairs=(
@@ -78,10 +29,8 @@ pairs=(
 
 for pair in "${pairs[@]}"; do
     read -r bin baseline <<<"$pair"
-    tmp="${baseline}.tmp"
     echo "update_baseline: regenerating ${baseline} via ${bin}"
-    cargo run --release -p dkc-bench --bin "$bin" -- --scale tiny --json "$tmp"
-    verify_and_zero "$tmp"
-    mv "$tmp" "$baseline"
-    echo "update_baseline: installed ${baseline}; review and commit the diff"
+    "target/release/${bin}" --scale tiny --json "$report"
+    target/release/dkc-bench update "$report" "$baseline"
 done
+echo "update_baseline: review and commit the diff"
